@@ -146,10 +146,11 @@ impl VecArena {
 /// Ranks every stored id against `q`, best first, at most `k_max` ids —
 /// the exact kernel. Ids are visited in ascending order, which fixes the
 /// top-K tie-breaking; every other kernel reproduces this exact visit
-/// order when it covers the same id set.
+/// order when it covers the same id set. `k_max` may be arbitrarily large
+/// (it can come off the wire): the heap is sized by the ids it can retain.
 pub fn rank_all(arena: &VecArena, q: &[f32], k_max: usize) -> Vec<u32> {
     let qnorm = norm_f32(q);
-    let mut top = TopK::new(k_max);
+    let mut top = TopK::new(k_max.min(arena.len()));
     for id in 0..arena.len() {
         top.push(arena.score(id, q, qnorm), id as u32);
     }
@@ -163,7 +164,7 @@ pub fn rank_all(arena: &VecArena, q: &[f32], k_max: usize) -> Vec<u32> {
 pub fn rank_subset(arena: &VecArena, ids: &[u32], q: &[f32], k_max: usize) -> Vec<u32> {
     debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be sorted");
     let qnorm = norm_f32(q);
-    let mut top = TopK::new(k_max);
+    let mut top = TopK::new(k_max.min(ids.len()));
     for &id in ids {
         top.push(arena.score(id as usize, q, qnorm), id);
     }

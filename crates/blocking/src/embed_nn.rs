@@ -78,7 +78,7 @@ impl Retrieval {
     /// Candidate pairs for a prefix `k ≤ k_max`, as `(left, right)` pairs.
     pub fn candidates(&self, k: usize) -> Vec<PairRef> {
         let k = k.min(self.k_max);
-        let mut out = Vec::with_capacity(self.ranked.len() * k);
+        let mut out = Vec::with_capacity(self.ranked.iter().map(|r| r.len().min(k)).sum());
         for (q, ranked) in self.ranked.iter().enumerate() {
             for &idx in ranked.iter().take(k) {
                 let pair = match self.side {

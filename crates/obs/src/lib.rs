@@ -9,11 +9,11 @@
 //!    parent/child nesting (thread-local stack) and a per-thread id.
 //!    Finished spans accumulate in a global buffer drained by
 //!    [`report::run_metrics`] / [`take_spans`].
-//! 2. **Metrics** ([`counter_add`], [`histogram_record`]) — a global
-//!    registry of named counters and log₂-bucket histograms. Each thread
-//!    writes to its own shard of relaxed atomics, so instrumenting
-//!    `rlb_util::par` workers adds no cross-thread contention on hot paths;
-//!    shards are summed only on [`snapshot`].
+//! 2. **Metrics** ([`counter_add`], [`gauge_add`], [`histogram_record`]) —
+//!    a global registry of named counters, gauges and log₂-bucket
+//!    histograms, one cell of relaxed atomics per name. Each thread caches
+//!    the cells it uses, so only its first use of a name takes the registry
+//!    lock; [`snapshot`] reads every cell once.
 //! 3. **Leveled events** ([`warn!`], [`info!`], [`debug!`]) — stderr logging
 //!    gated by `RLB_LOG=off|warn|info|debug` (default `info`), replacing the
 //!    previous ad-hoc `eprintln!` calls.
@@ -50,10 +50,7 @@ pub use sink::{
     clear_sink, install_test_sink, set_sink_path, sink_active, suspend_sink, SinkSuspension,
 };
 pub use span::{span_start, span_start_with, take_spans, Span, SpanRecord, MAX_RECORDED_SPANS};
-pub use trace::{
-    current_trace, next_request_trace, push_trace, run_trace, session_request_trace, set_run_trace,
-    TraceScope,
-};
+pub use trace::{current_trace, push_trace, run_trace, set_run_trace, TraceScope};
 
 #[doc(hidden)]
 pub use metrics::poison_registries_for_test;

@@ -1,31 +1,37 @@
-//! Global metrics registry: named counters and log₂-bucket histograms.
+//! Global metrics registry: named counters, gauges and log₂-bucket
+//! histograms.
 //!
-//! The hot-path contract: incrementing a counter or recording a histogram
-//! sample touches only the calling thread's shard — a thread-local map from
-//! name to an `Arc`'d cell of relaxed atomics. The global registry (a
-//! mutex-guarded list of every shard ever created) is locked once per
-//! thread per metric name, when the shard is first created, and on
-//! [`snapshot`] — never while `rlb_util::par` workers are computing.
+//! The registry holds one *cell* — a set of relaxed atomics — per metric
+//! name, shared by every thread. A thread looks a name's cell up under the
+//! registry lock on its first use of that name and caches the `Arc` in a
+//! thread-local map, so every later update from that thread is lock-free.
 //!
-//! Shards outlive their threads (the registry holds the `Arc`), so counts
-//! from short-lived scoped workers survive into the end-of-run snapshot.
+//! Cells are shared rather than kept per thread because `rlb_util::par`
+//! spawns fresh workers on every call: per-thread cells would have to
+//! outlive their threads for their counts to reach the snapshot, so their
+//! number would grow with the `par` calls of a run instead of with the
+//! metric names. The values recorded are per tile, per query or per worker
+//! exit, so threads sharing a cell's atomics do not contend measurably.
 
 use rlb_util::hash::FxHashMap;
 use rlb_util::json::Value;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::LocalKey;
 
 /// Histogram buckets: index 0 holds zeros, index `k ≥ 1` holds values in
 /// `[2^(k-1), 2^k)` — i.e. bucket by bit length.
 const BUCKETS: usize = 65;
 
+#[derive(Default)]
 struct CounterCell(AtomicU64);
 
-/// Gauges are signed: shards accumulate deltas (`+1` on session open, `-1`
-/// on close) and the snapshot sums them, so the aggregated value is the
-/// *current* level rather than a monotone total.
-struct GaugeCell(std::sync::atomic::AtomicI64);
+/// A gauge is a signed *level* (`+1` on session open, `-1` on close), not a
+/// monotone total.
+#[derive(Default)]
+struct GaugeCell(AtomicI64);
 
 struct HistCell {
     count: AtomicU64,
@@ -35,14 +41,33 @@ struct HistCell {
     buckets: [AtomicU64; BUCKETS],
 }
 
-impl HistCell {
-    fn new() -> Self {
+impl Default for HistCell {
+    fn default() -> Self {
         HistCell {
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
+impl HistCell {
+    fn summary(&self) -> HistogramSummary {
+        let count = self.count.load(Ordering::Relaxed);
+        HistogramSummary {
+            count,
+            sum: self.sum.load(Ordering::Relaxed),
+            // A cell registered but not yet recorded into still holds the
+            // `u64::MAX` sentinel.
+            min: if count == 0 {
+                0
+            } else {
+                self.min.load(Ordering::Relaxed)
+            },
+            max: self.max.load(Ordering::Relaxed),
+            buckets: std::array::from_fn(|b| self.buckets[b].load(Ordering::Relaxed)),
         }
     }
 }
@@ -71,86 +96,78 @@ fn bucket_lower(index: usize) -> u64 {
     }
 }
 
-static COUNTER_SHARDS: Mutex<Vec<(&'static str, Arc<CounterCell>)>> = Mutex::new(Vec::new());
-static HIST_SHARDS: Mutex<Vec<(&'static str, Arc<HistCell>)>> = Mutex::new(Vec::new());
-static GAUGE_SHARDS: Mutex<Vec<(&'static str, Arc<GaugeCell>)>> = Mutex::new(Vec::new());
+/// Every cell of one metric kind, by name — sorted, as snapshots report.
+type Registry<C> = Mutex<BTreeMap<&'static str, Arc<C>>>;
+/// One thread's cache of the cells it has used.
+type LocalCells<C> = RefCell<FxHashMap<&'static str, Arc<C>>>;
+
+static COUNTERS: Registry<CounterCell> = Mutex::new(BTreeMap::new());
+static HISTS: Registry<HistCell> = Mutex::new(BTreeMap::new());
+static GAUGES: Registry<GaugeCell> = Mutex::new(BTreeMap::new());
 
 thread_local! {
-    static LOCAL_COUNTERS: RefCell<FxHashMap<&'static str, Arc<CounterCell>>> =
-        RefCell::new(FxHashMap::default());
-    static LOCAL_HISTS: RefCell<FxHashMap<&'static str, Arc<HistCell>>> =
-        RefCell::new(FxHashMap::default());
-    static LOCAL_GAUGES: RefCell<FxHashMap<&'static str, Arc<GaugeCell>>> =
-        RefCell::new(FxHashMap::default());
+    static LOCAL_COUNTERS: LocalCells<CounterCell> = RefCell::new(FxHashMap::default());
+    static LOCAL_HISTS: LocalCells<HistCell> = RefCell::new(FxHashMap::default());
+    static LOCAL_GAUGES: LocalCells<GaugeCell> = RefCell::new(FxHashMap::default());
 }
 
-/// A poisoned registry (a panic during shard registration) must not take
-/// the instrumented pipeline down with it: already-registered shards keep
-/// counting lock-free, new registrations degrade to dropping the update,
+/// A poisoned registry (a panic during registration) must not take the
+/// instrumented pipeline down with it: cells a thread already cached keep
+/// counting lock-free, uncached lookups degrade to dropping the update,
 /// and the process warns exactly once.
 fn warn_registry_poisoned(kind: &str) {
     static WARNED: std::sync::Once = std::sync::Once::new();
     WARNED.call_once(|| {
         crate::warn!(
-            "[obs] {kind} registry lock poisoned; metrics from threads not \
-             yet registered will be dropped for the rest of the run"
+            "[obs] {kind} registry lock poisoned; updates from threads that \
+             have not cached a metric yet will be dropped for the rest of the run"
         );
     });
 }
 
-/// Adds `delta` to the named counter (this thread's shard; relaxed atomic).
-pub fn counter_add(name: &'static str, delta: u64) {
-    LOCAL_COUNTERS.with(|local| {
+/// Applies `update` to the cell named `name`: this thread's cached `Arc`,
+/// or on its first use of `name` the shared cell, found or created under
+/// the registry lock.
+fn with_cell<C: Default>(
+    local: &'static LocalKey<LocalCells<C>>,
+    registry: &Registry<C>,
+    kind: &str,
+    name: &'static str,
+    update: impl FnOnce(&C),
+) {
+    local.with(|local| {
         let mut local = local.borrow_mut();
         if let Some(cell) = local.get(name) {
-            cell.0.fetch_add(delta, Ordering::Relaxed);
-            return;
+            return update(cell);
         }
-        let cell = Arc::new(CounterCell(AtomicU64::new(delta)));
-        // A shard that cannot register would never be snapshotted; dropping
-        // the update is the honest degradation.
-        match COUNTER_SHARDS.lock() {
-            Ok(mut shards) => shards.push((name, cell.clone())),
-            Err(_) => return warn_registry_poisoned("counter"),
-        }
+        let cell = match registry.lock() {
+            Ok(mut cells) => Arc::clone(cells.entry(name).or_default()),
+            Err(_) => return warn_registry_poisoned(kind),
+        };
+        update(&cell);
         local.insert(name, cell);
+    });
+}
+
+/// Adds `delta` to the named counter (relaxed atomic).
+pub fn counter_add(name: &'static str, delta: u64) {
+    with_cell(&LOCAL_COUNTERS, &COUNTERS, "counter", name, |cell| {
+        cell.0.fetch_add(delta, Ordering::Relaxed);
     });
 }
 
 /// Adds `delta` (may be negative) to the named gauge. A gauge tracks a
 /// *level* — e.g. `serve.sessions`, the number of live socket sessions —
-/// so the snapshot reports the summed current value, not a running total.
-/// Shards outlive their threads, so a `-1` recorded by a dying session
-/// thread still balances the `+1` from its birth.
+/// so the snapshot reports its current value, not a running total.
 pub fn gauge_add(name: &'static str, delta: i64) {
-    LOCAL_GAUGES.with(|local| {
-        let mut local = local.borrow_mut();
-        if let Some(cell) = local.get(name) {
-            cell.0.fetch_add(delta, Ordering::Relaxed);
-            return;
-        }
-        let cell = Arc::new(GaugeCell(std::sync::atomic::AtomicI64::new(delta)));
-        match GAUGE_SHARDS.lock() {
-            Ok(mut shards) => shards.push((name, cell.clone())),
-            Err(_) => return warn_registry_poisoned("gauge"),
-        }
-        local.insert(name, cell);
+    with_cell(&LOCAL_GAUGES, &GAUGES, "gauge", name, |cell| {
+        cell.0.fetch_add(delta, Ordering::Relaxed);
     });
 }
 
-/// Records one sample in the named histogram (this thread's shard).
+/// Records one sample in the named histogram.
 pub fn histogram_record(name: &'static str, value: u64) {
-    LOCAL_HISTS.with(|local| {
-        let mut local = local.borrow_mut();
-        if !local.contains_key(name) {
-            let cell = Arc::new(HistCell::new());
-            match HIST_SHARDS.lock() {
-                Ok(mut shards) => shards.push((name, cell.clone())),
-                Err(_) => return warn_registry_poisoned("histogram"),
-            }
-            local.insert(name, cell);
-        }
-        let cell = &local[name];
+    with_cell(&LOCAL_HISTS, &HISTS, "histogram", name, |cell| {
         cell.count.fetch_add(1, Ordering::Relaxed);
         cell.sum.fetch_add(value, Ordering::Relaxed);
         cell.min.fetch_min(value, Ordering::Relaxed);
@@ -167,8 +184,8 @@ pub fn poison_registries_for_test() {
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let _ = std::thread::spawn(|| {
-        let _counters = COUNTER_SHARDS.lock().unwrap();
-        let _hists = HIST_SHARDS.lock().unwrap();
+        let _counters = COUNTERS.lock().unwrap();
+        let _hists = HISTS.lock().unwrap();
         panic!("poisoning metric registries for a degradation test");
     })
     .join();
@@ -284,14 +301,14 @@ impl HistogramSummary {
     }
 }
 
-/// A point-in-time aggregation of every shard, names sorted.
+/// A point-in-time read of every cell, names sorted.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// `(name, total)` for every counter touched so far.
     pub counters: Vec<(String, u64)>,
     /// `(name, summary)` for every histogram touched so far.
     pub histograms: Vec<(String, HistogramSummary)>,
-    /// `(name, level)` for every gauge touched so far (summed shard deltas).
+    /// `(name, level)` for every gauge touched so far.
     pub gauges: Vec<(String, i64)>,
 }
 
@@ -321,71 +338,24 @@ impl MetricsSnapshot {
     }
 }
 
-/// Sums every thread's shards into one [`MetricsSnapshot`]. A poisoned
-/// registry still yields every shard registered before the poisoning panic
-/// (registration only pushes; the list is never left half-mutated).
+/// Reads every cell once into a [`MetricsSnapshot`]. A poisoned registry
+/// still yields every cell registered before the poisoning panic
+/// (registration only inserts; the map is never left half-mutated).
 pub fn snapshot() -> MetricsSnapshot {
-    let mut counters: FxHashMap<&'static str, u64> = FxHashMap::default();
-    let counter_shards = COUNTER_SHARDS
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    for (name, cell) in counter_shards.iter() {
-        *counters.entry(name).or_insert(0) += cell.0.load(Ordering::Relaxed);
-    }
-    drop(counter_shards);
-    let mut hists: FxHashMap<&'static str, HistogramSummary> = FxHashMap::default();
-    let hist_shards = HIST_SHARDS
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    for (name, cell) in hist_shards.iter() {
-        let entry = hists.entry(name).or_insert(HistogramSummary {
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-            buckets: [0; BUCKETS],
-        });
-        entry.count += cell.count.load(Ordering::Relaxed);
-        entry.sum += cell.sum.load(Ordering::Relaxed);
-        entry.min = entry.min.min(cell.min.load(Ordering::Relaxed));
-        entry.max = entry.max.max(cell.max.load(Ordering::Relaxed));
-        for (b, bucket) in cell.buckets.iter().enumerate() {
-            entry.buckets[b] += bucket.load(Ordering::Relaxed);
-        }
-    }
-    let mut counters: Vec<(String, u64)> = counters
-        .into_iter()
-        .map(|(n, v)| (n.to_string(), v))
-        .collect();
-    counters.sort();
-    let mut histograms: Vec<(String, HistogramSummary)> = hists
-        .into_iter()
-        .map(|(n, mut h)| {
-            if h.count == 0 {
-                h.min = 0;
-            }
-            (n.to_string(), h)
-        })
-        .collect();
-    histograms.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut gauges: FxHashMap<&'static str, i64> = FxHashMap::default();
-    let gauge_shards = GAUGE_SHARDS
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    for (name, cell) in gauge_shards.iter() {
-        *gauges.entry(name).or_insert(0) += cell.0.load(Ordering::Relaxed);
-    }
-    drop(gauge_shards);
-    let mut gauges: Vec<(String, i64)> = gauges
-        .into_iter()
-        .map(|(n, v)| (n.to_string(), v))
-        .collect();
-    gauges.sort();
     MetricsSnapshot {
-        counters,
-        histograms,
-        gauges,
+        counters: read_cells(&COUNTERS, |cell| cell.0.load(Ordering::Relaxed)),
+        histograms: read_cells(&HISTS, HistCell::summary),
+        gauges: read_cells(&GAUGES, |cell| cell.0.load(Ordering::Relaxed)),
     }
+}
+
+fn read_cells<C, V>(registry: &Registry<C>, read: impl Fn(&C) -> V) -> Vec<(String, V)> {
+    registry
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .iter()
+        .map(|(name, cell)| (name.to_string(), read(cell)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -409,7 +379,7 @@ mod tests {
     #[test]
     fn counters_aggregate_across_par_map_threads() {
         // Force RLB_THREADS-independent coverage: par_map over enough items
-        // that multiple workers spawn, each incrementing from its own shard.
+        // that multiple workers spawn, each incrementing the shared cell.
         let before = snapshot().counter("test.par_counter");
         let items: Vec<u64> = (0..4_096).collect();
         let out = rlb_util::par::par_map(&items, |&x| {
@@ -419,6 +389,44 @@ mod tests {
         assert_eq!(out.len(), 4_096);
         let after = snapshot().counter("test.par_counter");
         assert_eq!(after - before, 4_096, "every increment must be visible");
+    }
+
+    #[test]
+    fn threads_share_one_cell_per_name() {
+        // The registry must not grow with the thread count: `par` spawns
+        // fresh workers on every call, so a cell per thread would pile up
+        // over a long-running process.
+        let cached: Vec<(Arc<CounterCell>, Arc<HistCell>)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..50)
+                .map(|_| {
+                    scope.spawn(|| {
+                        counter_add("test.one_cell_counter", 1);
+                        histogram_record("test.one_cell_hist", 7);
+                        (
+                            LOCAL_COUNTERS.with(|l| l.borrow()["test.one_cell_counter"].clone()),
+                            LOCAL_HISTS.with(|l| l.borrow()["test.one_cell_hist"].clone()),
+                        )
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let counter = COUNTERS.lock().unwrap()["test.one_cell_counter"].clone();
+        let hist = HISTS.lock().unwrap()["test.one_cell_hist"].clone();
+        for (c, h) in &cached {
+            assert!(
+                Arc::ptr_eq(c, &counter),
+                "a thread counted into a private cell"
+            );
+            assert!(
+                Arc::ptr_eq(h, &hist),
+                "a thread recorded into a private cell"
+            );
+        }
+        let snap = snapshot();
+        assert_eq!(snap.counter("test.one_cell_counter"), 50);
+        let h = snap.histogram("test.one_cell_hist").unwrap();
+        assert_eq!((h.count, h.sum, h.min, h.max), (50, 350, 7, 7));
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //!   [`set_run_trace`] or by [`crate::init`] from `RLB_TRACE` (falling back
 //!   to the binary name). Batch binaries live entirely under it.
 //! - a **scoped trace** ([`push_trace`]) temporarily replaces the current
-//!   id; `rlb-serve` derives one per request as
-//!   `<run>/<sequence-number>` via [`next_request_trace`] and echoes it in
-//!   the response, so a slow `link` in a client log can be joined against
-//!   its exact span subtree in the JSONL trace.
+//!   id; `rlb-serve` pushes one per request (`<run>/<sequence-number>`,
+//!   numbered per session) and echoes it in the response, so a slow `link`
+//!   in a client log can be joined against its exact span subtree in the
+//!   JSONL trace.
 //!
 //! Ids are deterministic, not unique: the same binary driven with the same
 //! input produces the same ids, which is what lets CI smoke output and
@@ -18,12 +18,10 @@
 //! at *open* (a request's spans keep its id even if they close after the
 //! scope guard), events at emission.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 static RUN_TRACE: OnceLock<Arc<str>> = OnceLock::new();
 static SCOPED: Mutex<Vec<Arc<str>>> = Mutex::new(Vec::new());
-static REQUEST_SEQ: AtomicU64 = AtomicU64::new(0);
 
 fn default_run_trace() -> Arc<str> {
     // Deterministic per binary: `rlb-serve`, `measures`, `fig2`, …
@@ -105,24 +103,6 @@ pub fn push_trace(id: impl Into<String>) -> TraceScope {
     TraceScope { id }
 }
 
-/// Derives the next request-level trace id, `<run-trace>/<n>` with `n`
-/// counting from 1 — deterministic for a given request sequence — and makes
-/// it current until the guard drops.
-pub fn next_request_trace() -> TraceScope {
-    let seq = REQUEST_SEQ.fetch_add(1, Ordering::Relaxed) + 1;
-    push_trace(format!("{}/{seq}", run_trace()))
-}
-
-/// Derives a session-scoped request trace id, `<run-trace>/s<session>/<seq>`,
-/// and makes it current until the guard drops. Unlike [`next_request_trace`]
-/// the sequence is supplied by the caller (each socket session numbers its
-/// own requests from 1), so concurrent sessions produce ids that depend only
-/// on their own request order — the property the concurrent-determinism
-/// tests rely on.
-pub fn session_request_trace(session: u64, seq: u64) -> TraceScope {
-    push_trace(format!("{}/s{session}/{seq}", run_trace()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,25 +122,6 @@ mod tests {
             assert_eq!(&*current_trace(), "req-a");
         }
         assert_eq!(current_trace(), base);
-    }
-
-    #[test]
-    fn request_traces_are_sequential_under_the_run_trace() {
-        let _guard = crate::test_env_lock().lock().unwrap();
-        let run = run_trace();
-        let first = {
-            let scope = next_request_trace();
-            scope.id().to_owned()
-        };
-        let second = {
-            let scope = next_request_trace();
-            scope.id().to_owned()
-        };
-        let prefix = format!("{run}/");
-        assert!(first.starts_with(&prefix), "{first} under {run}");
-        assert!(second.starts_with(&prefix), "{second} under {run}");
-        let n = |s: &str| s[prefix.len()..].parse::<u64>().unwrap();
-        assert_eq!(n(&second), n(&first) + 1, "{first} then {second}");
     }
 
     #[test]

@@ -18,22 +18,20 @@
 //! embedding of a record depends only on its own text. The property tests in
 //! `tests/incremental.rs` and `benches/service.rs` assert this end to end.
 //!
-//! **Incremental assessment cache.** [`Engine::assess`] memoizes each
-//! labelled pair's `[CS, JS]` similarity row: the record store is
-//! append-only, so a cached row can never go stale, and a call after an
-//! ingest re-scores only the pairs it has never seen before feeding
+//! **Scores at ingest.** [`Engine::ingest`] scores each new labelled pair's
+//! `[CS, JS]` similarity row once, right after extending the views, and
+//! keeps the rows parallel to the splits. The record store is append-only,
+//! so a row can never go stale; [`Engine::assess`] feeds the stored rows to
 //! [`assess_from_scores`] — the same downstream entry the batch path uses,
-//! which is why cached results stay byte-identical to the recompute twin.
-//! The cache (and the `metrics` baseline) live behind interior `Mutex`es so
-//! both ops are honest `&self` reads under the service's `RwLock` — see
+//! which is why its results stay byte-identical to a batch rebuild. Every
+//! `&self` method is a plain read under the service's `RwLock` — see
 //! `protocol.rs` for the per-op lock choice.
 
 use rlb_blocking::{EmbeddingNnBlocker, IndexSide, NnIndex, Retrieval};
-use rlb_core::assessment::{assess_from_scores, assess_with, Assessment};
+use rlb_core::assessment::{assess_from_scores, Assessment};
 use rlb_data::{LabeledPair, MatchingTask, PairRef, Source};
 use rlb_matchers::features::TaskViewCache;
-use rlb_util::{FxHashMap, FxHashSet};
-use std::sync::Mutex;
+use rlb_util::FxHashSet;
 
 /// Which labelled split an ingested pair lands in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,15 +105,10 @@ pub struct Engine {
     task: MatchingTask,
     views: Option<TaskViewCache>,
     index: NnIndex,
-    blocker: EmbeddingNnBlocker,
     seen_pairs: FxHashSet<PairRef>,
     schema_fixed: bool,
-    // Interior mutability so `metrics` and `assess` stay `&self` (read-path
-    // ops under the service's `RwLock`): the baseline window and the
-    // similarity cache are bookkeeping, not engine state — they never
-    // change what any request observes about the store.
-    metrics_baseline: Mutex<Option<rlb_obs::MetricsSnapshot>>,
-    sim_cache: Mutex<FxHashMap<PairRef, [f64; 2]>>,
+    /// `[CS, JS]` rows parallel to `task.train`, `task.val`, `task.test`.
+    scores: [Vec<[f64; 2]>; 3],
 }
 
 impl Engine {
@@ -123,7 +116,6 @@ impl Engine {
     /// ingest that carries records.
     pub fn new(name: impl Into<String>) -> Self {
         let name = name.into();
-        let blocker = EmbeddingNnBlocker::default();
         Engine {
             task: MatchingTask {
                 name: name.clone(),
@@ -134,29 +126,10 @@ impl Engine {
                 test: Vec::new(),
             },
             views: None,
-            index: blocker.index(IndexSide::Right),
-            blocker,
+            index: EmbeddingNnBlocker::default().index(IndexSide::Right),
             seen_pairs: FxHashSet::default(),
             schema_fixed: false,
-            metrics_baseline: Mutex::new(None),
-            sim_cache: Mutex::new(FxHashMap::default()),
-        }
-    }
-
-    /// Replaces the stored `metrics` baseline with `current`, returning the
-    /// previous one. The protocol's `metrics` op uses the pair to report
-    /// since-last-call deltas: the first call has no baseline and reports
-    /// all-time values as the window. `&self`: the baseline lives behind its
-    /// own `Mutex` so `metrics` rides the concurrent read path.
-    pub fn swap_metrics_baseline(
-        &self,
-        current: rlb_obs::MetricsSnapshot,
-    ) -> Option<rlb_obs::MetricsSnapshot> {
-        match self.metrics_baseline.lock() {
-            Ok(mut baseline) => baseline.replace(current),
-            // A panic while holding the lock loses the window baseline, not
-            // the engine: report an all-time window rather than failing.
-            Err(poisoned) => poisoned.into_inner().replace(current),
+            scores: Default::default(),
         }
     }
 
@@ -184,7 +157,7 @@ impl Engine {
     /// Validates and applies one ingest batch. On error nothing is mutated;
     /// on success records are appended to the store, the views are extended
     /// through the shared interner, new right records enter the embedding
-    /// index, and pairs join their splits.
+    /// index, and pairs join their splits with their `[CS, JS]` rows.
     pub fn ingest(&mut self, batch: IngestBatch) -> Result<IngestStats, String> {
         let _span = rlb_obs::span!("serve.ingest", "{}+{}", batch.left.len(), batch.right.len());
         self.validate_batch(&batch)?;
@@ -203,15 +176,6 @@ impl Engine {
         for values in batch.right {
             self.task.right.push(values);
         }
-        for p in &batch.pairs {
-            let lp = LabeledPair::new(p.left, p.right, p.is_match);
-            self.seen_pairs.insert(lp.pair);
-            match p.split {
-                Split::Train => self.task.train.push(lp),
-                Split::Val => self.task.val.push(lp),
-                Split::Test => self.task.test.push(lp),
-            }
-        }
         if self.schema_fixed {
             self.views = Some(match self.views.take() {
                 Some(v) => v.extended(&self.task),
@@ -220,6 +184,24 @@ impl Engine {
         }
         self.index
             .insert_all(&self.task.right.records[right_start..]);
+        let views = self.views.as_ref();
+        let rows = rlb_util::par::par_map(&batch.pairs, |p| {
+            views
+                .expect("validation admits pairs only once records fix the schema")
+                .cs_js(PairRef::new(p.left, p.right))
+        });
+        for (p, row) in batch.pairs.iter().zip(rows) {
+            let lp = LabeledPair::new(p.left, p.right, p.is_match);
+            self.seen_pairs.insert(lp.pair);
+            let (split, scores) = match p.split {
+                Split::Train => (&mut self.task.train, &mut self.scores[0]),
+                Split::Val => (&mut self.task.val, &mut self.scores[1]),
+                Split::Test => (&mut self.task.test, &mut self.scores[2]),
+            };
+            split.push(lp);
+            scores.push(row);
+        }
+        rlb_obs::counter_add("serve.assess_computed", batch.pairs.len() as u64);
         rlb_obs::counter_add("serve.records_ingested", batch_records);
         Ok(self.stats())
     }
@@ -248,65 +230,21 @@ impl Engine {
     }
 
     /// A-priori assessment (linearity, complexity, verdict flags) over the
-    /// current store, computed from the incrementally extended views.
+    /// current store, from the `[CS, JS]` rows scored at ingest.
     ///
-    /// **Incremental:** per-pair `[CS, JS]` similarity rows are cached by
-    /// [`PairRef`] across calls, so an `assess` after an ingest only scores
-    /// the pairs that ingest added and re-derives the aggregate measures.
-    /// Records are append-only and a pair's similarity depends only on its
-    /// two records' token sets, so cached rows never go stale — the output
-    /// is byte-identical to [`Engine::assess_rebuilt`], which recomputes
-    /// everything from scratch (asserted in `tests/incremental.rs` and
-    /// `benches/service.rs`).
+    /// A pair's similarity depends only on its two records' token sets,
+    /// which injective interning preserves, so the output is byte-identical
+    /// to `rlb_core::assess_with` over freshly built views (asserted in
+    /// `tests/incremental.rs` and `benches/service.rs`).
     pub fn assess(&self) -> Result<Assessment, String> {
-        let views = self
-            .views
-            .as_ref()
-            .ok_or_else(|| "nothing ingested yet".to_string())?;
+        if self.views.is_none() {
+            return Err("nothing ingested yet".to_string());
+        }
         let _span = rlb_obs::span!("serve.assess", "{}", self.task.name);
         let pairs: Vec<LabeledPair> = self.task.all_pairs().copied().collect();
-        let mut cache = match self.sim_cache.lock() {
-            Ok(cache) => cache,
-            // A panic mid-insert can at worst have left *fewer* entries than
-            // intended, never wrong ones; keep serving from what's there.
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let missing: Vec<LabeledPair> = pairs
-            .iter()
-            .filter(|lp| !cache.contains_key(&lp.pair))
-            .copied()
-            .collect();
-        if !missing.is_empty() {
-            let computed = rlb_util::par::par_map(&missing, |lp| views.cs_js(lp.pair));
-            cache.reserve(missing.len());
-            for (lp, row) in missing.iter().zip(&computed) {
-                cache.insert(lp.pair, *row);
-            }
-        }
-        rlb_obs::counter_add("serve.assess_computed", missing.len() as u64);
-        rlb_obs::counter_add("serve.assess_cached", (pairs.len() - missing.len()) as u64);
+        let scores: Vec<[f64; 2]> = self.scores.concat();
         rlb_obs::counter_add("linearity.pairs", pairs.len() as u64);
-        let scores: Vec<[f64; 2]> = pairs.iter().map(|lp| cache[&lp.pair]).collect();
-        drop(cache);
         assess_from_scores(&self.task, &[], &pairs, &scores).map_err(|e| e.to_string())
-    }
-
-    /// The batch-rebuild twin of [`Engine::assess`]: re-tokenizes and
-    /// re-interns everything from scratch. Exists so tests and the service
-    /// bench can assert the incremental path is byte-identical.
-    pub fn assess_rebuilt(&self) -> Result<Assessment, String> {
-        let views = TaskViewCache::build(&self.task);
-        assess_with(&self.task, &[], &views).map_err(|e| e.to_string())
-    }
-
-    /// The batch-rebuild twin of [`Engine::link`].
-    pub fn link_rebuilt(&self, k: usize) -> Retrieval {
-        self.blocker.retrieve(
-            &self.task.left,
-            &self.task.right,
-            IndexSide::Right,
-            k.max(1),
-        )
     }
 
     fn infer_schema(&self, batch: &IngestBatch) -> Option<Vec<String>> {

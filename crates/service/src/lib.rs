@@ -10,18 +10,17 @@
 //! `rlb-serve` binary speaks.
 //!
 //! The engine is shared behind one `RwLock`: `ingest` serializes through
-//! the write lock, everything else (`link`/`assess`/`stats`/`metrics`)
-//! reads concurrently. [`transport`] puts a std-only TCP listener in front
-//! of that lock (`RLB_SERVE_ADDR`), multiplexing N concurrent JSONL
-//! sessions over the same protocol with per-session `{run}/s{id}/{seq}`
-//! traces, idle timeouts and graceful error degradation.
+//! the write lock, `link`/`assess`/`stats` read concurrently, and
+//! `metrics` reads only its session's state. [`transport`] puts a std-only
+//! TCP listener in front of that lock (`RLB_SERVE_ADDR`), multiplexing N
+//! concurrent JSONL sessions over the same request loop with per-session
+//! `{run}/s{id}/{seq}` traces and `metrics` windows, idle timeouts and
+//! graceful error degradation.
 
 pub mod engine;
 pub mod protocol;
 pub mod transport;
 
 pub use engine::{Engine, IngestBatch, IngestPair, IngestStats, Split};
-pub use protocol::{
-    handle_request, handle_request_traced, serve, ServeSummary, DEFAULT_K, DEFAULT_LINK_LIMIT,
-};
+pub use protocol::{serve, ServeSummary, Session, DEFAULT_K, DEFAULT_LINK_LIMIT};
 pub use transport::{env_usize_once, serve_tcp, TcpSummary, TransportConfig};

@@ -23,19 +23,20 @@
 //! ```
 //!
 //! Every request runs inside an `rlb-obs` span under its own trace id
-//! (`<run-trace>/<sequence>`, see `rlb_obs::next_request_trace`), echoed as
-//! `"trace"` in every response, and feeds per-op counters (`serve.<op>`),
-//! the shared latency histogram `serve.request_us`, and a per-op histogram
+//! (`<session-prefix>/<sequence>`, see [`Session`]), echoed as `"trace"` in
+//! every response, and feeds per-op counters (`serve.<op>`), the shared
+//! latency histogram `serve.request_us`, and a per-op histogram
 //! `serve.<op>_us`. The `stats` op surfaces the full counter/histogram
 //! snapshot; the `metrics` op additionally reports since-last-call deltas
 //! per counter and a `"window"` summary per histogram (rolling p50/p99 per
-//! op between consecutive `metrics` calls), so a client can watch the
-//! engine live without touching `RUN_METRICS.json`.
+//! op between the session's consecutive `metrics` calls), so a client can
+//! watch the engine live without touching `RUN_METRICS.json`.
 
 use crate::engine::{Engine, IngestBatch, IngestPair, Split};
 use rlb_util::json::{read_line, write_line, JsonLine, Value, MAX_DEPTH};
 use rlb_util::ToJson;
 use std::io::{BufRead, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::RwLock;
 
 /// Default number of neighbours per query for `link`.
@@ -44,7 +45,7 @@ pub const DEFAULT_K: usize = 5;
 /// always reports the uncapped count).
 pub const DEFAULT_LINK_LIMIT: usize = 100;
 
-/// What the serve loop saw, returned to the binary for logging.
+/// What a session's request loop saw, returned to the binary for logging.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeSummary {
     /// Requests answered (ok or error).
@@ -81,141 +82,206 @@ fn ok_response(fields: Vec<(String, Value)>) -> Value {
     Value::Obj(obj)
 }
 
-/// Runs the request loop until `shutdown`, end of input, or an I/O error.
-/// `max_line_bytes` bounds each request line (`RLB_SERVE_MAX_LINE` in the
-/// binary); responses are flushed per line so a piped client can converse.
-///
-/// The engine arrives behind the service's [`RwLock`]; each request takes
-/// the lock appropriate to its op (see [`handle_request`]), so a stdin loop
-/// and any number of socket sessions can share one engine.
+fn is_ok(response: &Value) -> bool {
+    response.get("ok").and_then(Value::as_bool) == Some(true)
+}
+
+/// Runs the stdin request loop (one [`Session`]) until `shutdown`, end of
+/// input, or an I/O error. `max_line_bytes` bounds each request line
+/// (`RLB_SERVE_MAX_LINE` in the binary).
 pub fn serve<R: BufRead, W: Write>(
     engine: &RwLock<Engine>,
     mut input: R,
     mut output: W,
     max_line_bytes: usize,
 ) -> std::io::Result<ServeSummary> {
-    let mut summary = ServeSummary::default();
-    loop {
-        let request = match read_line(&mut input, max_line_bytes, MAX_DEPTH)? {
-            JsonLine::Eof => break,
-            JsonLine::Bad(e) => {
-                summary.requests += 1;
-                summary.errors += 1;
-                rlb_obs::counter_add("serve.bad_line", 1);
-                write_line(&mut output, &err_response(e.to_string()))?;
-                output.flush()?;
-                continue;
-            }
-            JsonLine::Record(v) => v,
-        };
-        let (response, shutdown) = handle_request(engine, &request);
-        summary.requests += 1;
-        if response.get("ok").and_then(Value::as_bool) != Some(true) {
-            summary.errors += 1;
-        }
-        write_line(&mut output, &response)?;
-        output.flush()?;
-        if shutdown {
-            summary.shut_down = true;
-            break;
+    let mut session = Session::default();
+    let stop = AtomicBool::new(false);
+    session.serve(engine, &mut input, &mut output, max_line_bytes, &stop)?;
+    Ok(session.summary)
+}
+
+/// One client's conversation with the engine: the prefix its request
+/// traces extend, its request sequence, its `metrics` window baseline, and
+/// what its request loop has answered. Sessions share nothing but the
+/// engine, so one client's `metrics` call never resets another's window.
+#[derive(Debug)]
+pub struct Session {
+    prefix: String,
+    seq: u64,
+    baseline: Option<rlb_obs::MetricsSnapshot>,
+    summary: ServeSummary,
+}
+
+impl Default for Session {
+    /// The stdin session: request `n` is traced `<run>/<n>`.
+    fn default() -> Self {
+        Session {
+            prefix: rlb_obs::run_trace().to_string(),
+            seq: 0,
+            baseline: None,
+            summary: ServeSummary::default(),
         }
     }
-    Ok(summary)
 }
 
-/// Dispatches one parsed request; returns the response and whether to stop.
-/// Public so the service bench can drive the protocol without pipes.
-///
-/// Allocates the next global `<run>/<seq>` trace id; socket sessions use
-/// [`handle_request_traced`] with their own per-session ids instead.
-pub fn handle_request(engine: &RwLock<Engine>, request: &Value) -> (Value, bool) {
-    let trace = rlb_obs::next_request_trace();
-    handle_request_traced(engine, request, &trace)
-}
-
-/// [`handle_request`] under a caller-supplied trace scope. The engine lock
-/// is taken per op: `ingest` is the only writer; `link`, `assess`, `stats`
-/// and `metrics` take read locks and run concurrently across sessions
-/// (`assess` and `metrics` keep their internal bookkeeping behind their own
-/// mutexes, so `&self` is honest). `shutdown` touches no engine state.
-pub fn handle_request_traced(
-    engine: &RwLock<Engine>,
-    request: &Value,
-    trace: &rlb_obs::TraceScope,
-) -> (Value, bool) {
-    let started = std::time::Instant::now();
-    let op = match request.get("op").and_then(Value::as_str) {
-        Some(op) => op.to_owned(),
-        None => {
-            let mut response = err_response("request has no \"op\" field");
-            if let Value::Obj(fields) = &mut response {
-                fields.insert(1, ("trace".into(), Value::Str(trace.id().into())));
-            }
-            rlb_obs::counter_add("serve.errors", 1);
-            return (response, false);
+impl Session {
+    /// Socket session `sid`: request `n` is traced `<run>/s<sid>/<n>`,
+    /// whatever the interleaving with other sessions.
+    pub fn numbered(sid: u64) -> Session {
+        Session {
+            prefix: format!("{}/s{sid}", rlb_obs::run_trace()),
+            ..Session::default()
         }
-    };
-    let _span = rlb_obs::span!("serve.request", "{op}");
-    let (mut response, shutdown) = match op.as_str() {
-        "ingest" => (
-            match engine.write() {
+    }
+
+    /// What [`Session::serve`] has answered so far.
+    pub(crate) fn summary(&self) -> ServeSummary {
+        self.summary
+    }
+
+    /// The request loop: read a line, dispatch it, write and flush the
+    /// response — until `shutdown` (which also raises `stop`), end of
+    /// input, `stop` raised elsewhere, or an I/O error. Responses are
+    /// flushed per line so a piped client can converse.
+    pub(crate) fn serve<R: BufRead, W: Write>(
+        &mut self,
+        engine: &RwLock<Engine>,
+        input: &mut R,
+        output: &mut W,
+        max_line_bytes: usize,
+        stop: &AtomicBool,
+    ) -> std::io::Result<()> {
+        while !stop.load(Ordering::SeqCst) {
+            let (response, shutdown) = match read_line(input, max_line_bytes, MAX_DEPTH)? {
+                JsonLine::Eof => break,
+                JsonLine::Bad(e) => {
+                    rlb_obs::counter_add("serve.bad_line", 1);
+                    (err_response(e.to_string()), false)
+                }
+                JsonLine::Record(request) => self.handle(engine, &request),
+            };
+            self.summary.requests += 1;
+            if !is_ok(&response) {
+                self.summary.errors += 1;
+            }
+            write_line(output, &response)?;
+            output.flush()?;
+            if shutdown {
+                self.summary.shut_down = true;
+                stop.store(true, Ordering::SeqCst);
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Dispatches one parsed request under the session's next trace id;
+    /// returns the response and whether to stop. The engine lock is taken
+    /// per op: `ingest` is the only writer; `link`, `assess` and `stats`
+    /// take read locks and run concurrently across sessions; `metrics`
+    /// reads only the metrics registry and this session's baseline, and
+    /// `shutdown` touches no engine state.
+    pub fn handle(&mut self, engine: &RwLock<Engine>, request: &Value) -> (Value, bool) {
+        self.seq += 1;
+        let trace = rlb_obs::push_trace(format!("{}/{}", self.prefix, self.seq));
+        let (mut response, shutdown) = match request.get("op").and_then(Value::as_str) {
+            Some(op) => self.dispatch(engine, op, request),
+            None => (err_response("request has no \"op\" field"), false),
+        };
+        if let Value::Obj(fields) = &mut response {
+            fields.insert(1, ("trace".into(), Value::Str(trace.id().into())));
+        }
+        if !is_ok(&response) {
+            rlb_obs::counter_add("serve.errors", 1);
+        }
+        (response, shutdown)
+    }
+
+    fn dispatch(&mut self, engine: &RwLock<Engine>, op: &str, request: &Value) -> (Value, bool) {
+        let started = std::time::Instant::now();
+        let _span = rlb_obs::span!("serve.request", "{op}");
+        let response = match op {
+            "ingest" => match engine.write() {
                 Ok(mut engine) => handle_ingest(&mut engine, request),
                 Err(_) => err_response(POISONED),
             },
-            false,
-        ),
-        "link" => (
-            match engine.read() {
-                Ok(engine) => handle_link(&engine, request),
-                Err(_) => err_response(POISONED),
-            },
-            false,
-        ),
-        "assess" => (
-            match engine.read() {
-                Ok(engine) => match engine.assess() {
-                    Ok(a) => ok_response(vec![("assessment".into(), a.to_json())]),
-                    Err(e) => err_response(e),
-                },
-                Err(_) => err_response(POISONED),
-            },
-            false,
-        ),
-        "stats" => (
-            match engine.read() {
-                Ok(engine) => handle_stats(&engine),
-                Err(_) => err_response(POISONED),
-            },
-            false,
-        ),
-        "metrics" => (
-            match engine.read() {
-                Ok(engine) => handle_metrics(&engine),
-                Err(_) => err_response(POISONED),
-            },
-            false,
-        ),
-        "shutdown" => (ok_response(vec![]), true),
-        other => (err_response(format!("unknown op {other:?}")), false),
-    };
-    if let Value::Obj(fields) = &mut response {
-        fields.insert(1, ("trace".into(), Value::Str(trace.id().into())));
+            "link" => with_read(engine, |engine| handle_link(engine, request)),
+            "assess" => with_read(engine, |engine| match engine.assess() {
+                Ok(a) => ok_response(vec![("assessment".into(), a.to_json())]),
+                Err(e) => err_response(e),
+            }),
+            "stats" => with_read(engine, handle_stats),
+            "metrics" => self.metrics(),
+            "shutdown" => ok_response(vec![]),
+            other => err_response(format!("unknown op {other:?}")),
+        };
+        let elapsed_us = started.elapsed().as_micros() as u64;
+        rlb_obs::histogram_record("serve.request_us", elapsed_us);
+        if let Some((counter, histogram)) = op_metrics(op) {
+            rlb_obs::counter_add(counter, 1);
+            rlb_obs::histogram_record(histogram, elapsed_us);
+        }
+        (response, op == "shutdown")
     }
-    let elapsed_us = started.elapsed().as_micros() as u64;
-    rlb_obs::histogram_record("serve.request_us", elapsed_us);
-    if let Some((counter, histogram)) = op_metrics(&op) {
-        rlb_obs::counter_add(counter, 1);
-        rlb_obs::histogram_record(histogram, elapsed_us);
+
+    /// The `metrics` op: a live counter/histogram snapshot plus deltas
+    /// since this session's previous `metrics` call. Counters report
+    /// `{"total", "delta"}`; histograms report the cumulative summary under
+    /// `"cumulative"` and the window under `"window"` (the first call's
+    /// window is all-time). Per-op rolling p50/p99 are therefore
+    /// `histograms["serve.<op>_us"].window.p50/p99`.
+    fn metrics(&mut self) -> Value {
+        let snap = rlb_obs::snapshot();
+        let prev = self.baseline.replace(snap.clone()).unwrap_or_default();
+        let counters: Vec<(String, Value)> = snap
+            .counters
+            .iter()
+            .map(|(name, total)| {
+                let delta = total.saturating_sub(prev.counter(name));
+                (
+                    name.clone(),
+                    Value::Obj(vec![
+                        ("total".into(), Value::Num(*total as f64)),
+                        ("delta".into(), Value::Num(delta as f64)),
+                    ]),
+                )
+            })
+            .collect();
+        let histograms: Vec<(String, Value)> = snap
+            .histograms
+            .iter()
+            .map(|(name, h)| {
+                let window = match prev.histogram(name) {
+                    Some(p) => h.delta_since(p),
+                    None => h.clone(),
+                };
+                (
+                    name.clone(),
+                    Value::Obj(vec![
+                        ("cumulative".into(), h.to_value()),
+                        ("window".into(), window.to_value()),
+                    ]),
+                )
+            })
+            .collect();
+        ok_response(vec![
+            ("counters".into(), Value::Obj(counters)),
+            ("histograms".into(), Value::Obj(histograms)),
+        ])
     }
-    if response.get("ok").and_then(Value::as_bool) != Some(true) {
-        rlb_obs::counter_add("serve.errors", 1);
-    }
-    (response, shutdown)
 }
 
 /// A writer panicked while holding the engine lock; readers degrade to a
 /// structured error per request instead of crashing the session.
 const POISONED: &str = "engine lock poisoned by an earlier panic";
+
+fn with_read(engine: &RwLock<Engine>, op: impl FnOnce(&Engine) -> Value) -> Value {
+    match engine.read() {
+        Ok(engine) => op(&engine),
+        Err(_) => err_response(POISONED),
+    }
+}
 
 fn parse_records(v: &Value, field: &str) -> Result<Vec<Vec<String>>, String> {
     let Some(rows) = v.get(field) else {
@@ -408,54 +474,6 @@ fn handle_stats(engine: &Engine) -> Value {
     ])
 }
 
-/// The `metrics` op: a live counter/histogram snapshot plus since-last-call
-/// deltas. Counters report `{"total", "delta"}`; histograms report the
-/// cumulative summary under `"cumulative"` and the window since the
-/// previous `metrics` call under `"window"` (the first call's window is
-/// all-time). Per-op rolling p50/p99 are therefore
-/// `histograms["serve.<op>_us"].window.p50/p99`.
-fn handle_metrics(engine: &Engine) -> Value {
-    let snap = rlb_obs::snapshot();
-    let prev = engine
-        .swap_metrics_baseline(snap.clone())
-        .unwrap_or_default();
-    let counters: Vec<(String, Value)> = snap
-        .counters
-        .iter()
-        .map(|(name, total)| {
-            let delta = total.saturating_sub(prev.counter(name));
-            (
-                name.clone(),
-                Value::Obj(vec![
-                    ("total".into(), Value::Num(*total as f64)),
-                    ("delta".into(), Value::Num(delta as f64)),
-                ]),
-            )
-        })
-        .collect();
-    let histograms: Vec<(String, Value)> = snap
-        .histograms
-        .iter()
-        .map(|(name, h)| {
-            let window = match prev.histogram(name) {
-                Some(p) => h.delta_since(p),
-                None => h.clone(),
-            };
-            (
-                name.clone(),
-                Value::Obj(vec![
-                    ("cumulative".into(), h.to_value()),
-                    ("window".into(), window.to_value()),
-                ]),
-            )
-        })
-        .collect();
-    ok_response(vec![
-        ("counters".into(), Value::Obj(counters)),
-        ("histograms".into(), Value::Obj(histograms)),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,6 +574,7 @@ mod tests {
     #[test]
     fn assess_over_the_wire_matches_direct_call() {
         let engine = RwLock::new(Engine::new("twin"));
+        let mut session = Session::default();
         let ingest = Value::parse(concat!(
             r#"{"op":"ingest","left":[["acme widget pro"],["zen speaker ultra"],["kordia laptop"],["other thing"]],"#,
             r#""right":[["acme wdget pro"],["zen speakers"],["kordia laptops"],["unrelated junk"]],"#,
@@ -567,9 +586,9 @@ mod tests {
             r#"{"left":2,"right":3,"match":false,"split":"test"}]}"#
         ))
         .unwrap();
-        let (resp, _) = handle_request(&engine, &ingest);
+        let (resp, _) = session.handle(&engine, &ingest);
         assert!(ok(&resp), "{resp:?}");
-        let (resp, _) = handle_request(&engine, &Value::parse(r#"{"op":"assess"}"#).unwrap());
+        let (resp, _) = session.handle(&engine, &Value::parse(r#"{"op":"assess"}"#).unwrap());
         assert!(ok(&resp), "{resp:?}");
         let wire = resp.get("assessment").expect("assessment payload");
         let direct = engine.read().unwrap().assess().unwrap();
@@ -579,19 +598,20 @@ mod tests {
     #[test]
     fn link_with_nprobe_reports_ann_mode_and_matches_exact_when_exhaustive() {
         let engine = RwLock::new(Engine::new("ann"));
+        let mut session = Session::default();
         let ingest = Value::parse(concat!(
             r#"{"op":"ingest","left":[["acme widget"],["zen speaker"]],"#,
             r#""right":[["acme wdget"],["zen speakers"],["junk"]]}"#
         ))
         .unwrap();
-        let (resp, _) = handle_request(&engine, &ingest);
+        let (resp, _) = session.handle(&engine, &ingest);
         assert!(ok(&resp), "{resp:?}");
-        let (exact, _) = handle_request(&engine, &Value::parse(r#"{"op":"link","k":2}"#).unwrap());
+        let (exact, _) = session.handle(&engine, &Value::parse(r#"{"op":"link","k":2}"#).unwrap());
         assert_eq!(exact.get("mode").and_then(Value::as_str), Some("exact"));
         assert!(exact.get("nprobe").is_none());
         // A tiny index is untrained, so any nprobe is exhaustive: the ANN
         // response must carry the same pairs as the exact one.
-        let (ann, _) = handle_request(
+        let (ann, _) = session.handle(
             &engine,
             &Value::parse(r#"{"op":"link","k":2,"nprobe":4}"#).unwrap(),
         );
@@ -644,15 +664,16 @@ mod tests {
     #[test]
     fn metrics_op_reports_totals_deltas_and_rolling_windows() {
         let engine = RwLock::new(Engine::new("metrics"));
+        let mut session = Session::default();
         let metrics = Value::parse(r#"{"op":"metrics"}"#).unwrap();
-        let (first, _) = handle_request(&engine, &metrics);
+        let (first, _) = session.handle(&engine, &metrics);
         assert!(ok(&first), "{first:?}");
         // Probe metrics no other test touches, so the window is exactly ours
         // even with concurrent tests hammering the global registry.
         rlb_obs::counter_add("test.metrics_probe", 2);
         rlb_obs::histogram_record("test.metrics_probe_us", 100);
         rlb_obs::histogram_record("test.metrics_probe_us", 300);
-        let (second, _) = handle_request(&engine, &metrics);
+        let (second, _) = session.handle(&engine, &metrics);
         let probe = second
             .get("counters")
             .and_then(|c| c.get("test.metrics_probe"))
@@ -678,7 +699,7 @@ mod tests {
             .is_some());
         // A third immediate call sees an empty probe window: zero delta,
         // null quantiles (never NaN, never fabricated zeros).
-        let (third, _) = handle_request(&engine, &metrics);
+        let (third, _) = session.handle(&engine, &metrics);
         let probe = third
             .get("counters")
             .and_then(|c| c.get("test.metrics_probe"))

@@ -3,8 +3,8 @@
 //! `rlb-serve` stays a stdin/stdout pipe unless `RLB_SERVE_ADDR` names a
 //! bind address, in which case [`serve_tcp`] accepts TCP connections and
 //! runs one protocol session per connection, all sharing the engine behind
-//! its `RwLock` (see [`crate::protocol::handle_request_traced`] for the
-//! per-op read/write lock split). Each session:
+//! its `RwLock` (see [`crate::protocol::Session::handle`] for the per-op
+//! read/write lock split). Each session:
 //!
 //! - gets a session id `s1, s2, …` in accept order, and stamps request
 //!   `n` with the trace id `<run>/s<id>/<n>` — deterministic per session
@@ -24,8 +24,8 @@
 //! loop, one thread per session.
 
 use crate::engine::Engine;
-use crate::protocol::{err_response, handle_request_traced};
-use rlb_util::json::{read_line, write_line, JsonLine, Value, MAX_DEPTH};
+use crate::protocol::{err_response, Session};
+use rlb_util::json::write_line;
 use rlb_util::FxHashMap;
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -221,62 +221,46 @@ fn session_loop(
     stream.set_read_timeout(Some(Duration::from_millis(config.timeout_ms.max(1) as u64)))?;
     let mut reader = std::io::BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    let mut seq = 0u64;
-    while !stop.load(Ordering::SeqCst) {
-        let line = match read_line(&mut reader, config.max_line_bytes, MAX_DEPTH) {
-            Ok(line) => line,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Idle/read timeout: tell the client why before closing.
-                rlb_obs::counter_add("serve.session_timeouts", 1);
-                let _ = write_line(
-                    &mut writer,
-                    &err_response(format!(
-                        "idle timeout after {}ms; closing session",
-                        config.timeout_ms
-                    )),
-                );
-                let _ = writer.flush();
-                break;
-            }
-            Err(e) => return Err(e),
-        };
-        let request = match line {
-            JsonLine::Eof => break,
-            JsonLine::Bad(e) => {
-                totals.requests.fetch_add(1, Ordering::SeqCst);
-                totals.errors.fetch_add(1, Ordering::SeqCst);
-                rlb_obs::counter_add("serve.bad_line", 1);
-                write_line(&mut writer, &err_response(e.to_string()))?;
-                writer.flush()?;
-                continue;
-            }
-            JsonLine::Record(v) => v,
-        };
-        seq += 1;
-        let trace = rlb_obs::session_request_trace(sid, seq);
-        let (response, shutdown) = handle_request_traced(engine, &request, &trace);
-        totals.requests.fetch_add(1, Ordering::SeqCst);
-        if response.get("ok").and_then(Value::as_bool) != Some(true) {
-            totals.errors.fetch_add(1, Ordering::SeqCst);
+    let mut session = Session::numbered(sid);
+    let result = session.serve(
+        engine,
+        &mut reader,
+        &mut writer,
+        config.max_line_bytes,
+        stop,
+    );
+    let summary = session.summary();
+    totals
+        .requests
+        .fetch_add(summary.requests, Ordering::SeqCst);
+    totals.errors.fetch_add(summary.errors, Ordering::SeqCst);
+    match result {
+        Err(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) =>
+        {
+            // Idle/read timeout: tell the client why before closing.
+            rlb_obs::counter_add("serve.session_timeouts", 1);
+            let _ = write_line(
+                &mut writer,
+                &err_response(format!(
+                    "idle timeout after {}ms; closing session",
+                    config.timeout_ms
+                )),
+            );
+            let _ = writer.flush();
+            Ok(())
         }
-        write_line(&mut writer, &response)?;
-        writer.flush()?;
-        if shutdown {
-            stop.store(true, Ordering::SeqCst);
-            break;
-        }
+        other => other,
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rlb_util::json::Value;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 

@@ -4,12 +4,17 @@
 //! that session's requests — and a writer thread racing reader threads must
 //! leave the engine `to_bits`-identical to the same ingest sequence run
 //! serially. JSONL lines written under the shared sink lock must never
-//! tear.
+//! tear, and one socket session's `metrics` call must never move another
+//! session's window.
 
-use rlb_serve::{handle_request_traced, Engine, IngestBatch, IngestPair, Split};
+use rlb_core::assess_with;
+use rlb_matchers::features::TaskViewCache;
+use rlb_serve::{serve_tcp, Engine, IngestBatch, IngestPair, Session, Split, TransportConfig};
 use rlb_synth::{BenchmarkProfile, DifficultyKnobs, Domain};
 use rlb_util::json::Value;
-use std::sync::{Mutex, RwLock};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::{Arc, Mutex, RwLock};
 
 fn synth_task(seed: u64) -> rlb_data::MatchingTask {
     rlb_synth::generate_task(&BenchmarkProfile {
@@ -102,9 +107,9 @@ fn is_ok(line: &str) -> bool {
 /// (lock held per line, as the transport writes them).
 fn run_session(engine: &RwLock<Engine>, sid: u64, sink: &Mutex<Vec<u8>>) -> Vec<String> {
     let mut lines = Vec::new();
-    for (i, request) in session_script(sid).iter().enumerate() {
-        let trace = rlb_obs::session_request_trace(sid, (i + 1) as u64);
-        let (response, _) = handle_request_traced(engine, request, &trace);
+    let mut session = Session::numbered(sid);
+    for request in &session_script(sid) {
+        let (response, _) = session.handle(engine, request);
         let line = response.to_json_string();
         {
             let mut sink = sink.lock().unwrap();
@@ -120,8 +125,7 @@ fn run_session(engine: &RwLock<Engine>, sid: u64, sink: &Mutex<Vec<u8>>) -> Vec<
 fn concurrent_sessions_replay_byte_identically_serial() {
     const SESSIONS: u64 = 4;
     let engine = RwLock::new(loaded_engine(9001));
-    // Warm the assessment cache so the serial replay and every concurrent
-    // session see the same (fully cached) state from request one.
+    // The fully ingested engine assesses before any session starts.
     engine.read().unwrap().assess().expect("warmup assess");
 
     let sink = Mutex::new(Vec::new());
@@ -149,9 +153,9 @@ fn concurrent_sessions_replay_byte_identically_serial() {
     // totals depend on the interleaving, so they are checked ok-only.
     for (sid, concurrent_lines) in &concurrent {
         let script = session_script(*sid);
+        let mut session = Session::numbered(*sid);
         for (i, (request, concurrent_line)) in script.iter().zip(concurrent_lines).enumerate() {
-            let trace = rlb_obs::session_request_trace(*sid, (i + 1) as u64);
-            let (serial, _) = handle_request_traced(&engine, request, &trace);
+            let (serial, _) = session.handle(&engine, request);
             let serial_line = serial.to_json_string();
             match op_of(request) {
                 "link" | "assess" => assert_eq!(
@@ -246,11 +250,73 @@ fn writer_racing_readers_leaves_a_serial_twin() {
         rlb_util::json::to_string(&quiet),
         "racing readers perturbed the ingest result"
     );
-    let rebuilt = engine.assess_rebuilt().expect("batch rebuild");
+    let rebuilt = assess_with(engine.task(), &[], &TaskViewCache::build(engine.task()))
+        .expect("batch rebuild");
     assert_eq!(
         rlb_util::json::to_string(&raced),
         rlb_util::json::to_string(&rebuilt),
         "incremental twin broke under concurrency"
     );
     assert_eq!(engine.link(3).ranked, serial.link(3).ranked);
+}
+
+/// One JSONL client connection: `call` sends a request line and waits for
+/// its response, so the order of calls across clients is the order the
+/// server sees them in.
+struct Client {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Client {
+    fn connect(addr: std::net::SocketAddr) -> Client {
+        let writer = TcpStream::connect(addr).unwrap();
+        let reader = BufReader::new(writer.try_clone().unwrap());
+        Client { writer, reader }
+    }
+
+    fn call(&mut self, request: &str) -> Value {
+        writeln!(self.writer, "{request}").unwrap();
+        self.writer.flush().unwrap();
+        let mut line = String::new();
+        self.reader.read_line(&mut line).unwrap();
+        Value::parse(line.trim()).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"))
+    }
+}
+
+#[test]
+fn metrics_windows_are_per_session() {
+    let engine = Arc::new(RwLock::new(Engine::new("windows")));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let config = TransportConfig {
+        max_sessions: 4,
+        timeout_ms: 30_000,
+        max_line_bytes: 4096,
+    };
+    // Detached, so a failing assertion fails the test instead of leaving
+    // the scope waiting on a server that never saw `shutdown`.
+    let server = std::thread::spawn({
+        let engine = Arc::clone(&engine);
+        move || serve_tcp(&engine, listener, &config).unwrap()
+    });
+    let mut a = Client::connect(addr);
+    let mut b = Client::connect(addr);
+    let metrics = r#"{"op":"metrics"}"#;
+    b.call(metrics);
+    rlb_obs::counter_add("test.session_window_probe", 3);
+    a.call(metrics);
+    let window = b.call(metrics);
+    let delta = window
+        .get("counters")
+        .and_then(|c| c.get("test.session_window_probe"))
+        .and_then(|probe| probe.get("delta"))
+        .and_then(Value::as_f64);
+    assert_eq!(
+        delta,
+        Some(3.0),
+        "session A's metrics call moved session B's window"
+    );
+    a.call(r#"{"op":"shutdown"}"#);
+    assert!(server.join().unwrap().shut_down);
 }

@@ -3,6 +3,9 @@
 //! the engine producing `to_bits`-identical assessments and identical
 //! blocking retrievals to a from-scratch batch rebuild over the same data.
 
+use rlb_blocking::{EmbeddingNnBlocker, IndexSide, Retrieval};
+use rlb_core::{assess_with, Assessment};
+use rlb_matchers::features::TaskViewCache;
 use rlb_serve::{Engine, IngestBatch, IngestPair, Split};
 use rlb_synth::{BenchmarkProfile, DifficultyKnobs, Domain};
 use rlb_util::Prng;
@@ -97,11 +100,22 @@ fn ingest_randomly(task: &rlb_data::MatchingTask, rng: &mut Prng) -> Engine {
     engine
 }
 
+/// The batch rebuild of [`Engine::assess`]: views built from scratch.
+fn batch_assess(engine: &Engine) -> Result<Assessment, String> {
+    assess_with(engine.task(), &[], &TaskViewCache::build(engine.task())).map_err(|e| e.to_string())
+}
+
+/// The batch rebuild of [`Engine::link`].
+fn batch_link(engine: &Engine, k: usize) -> Retrieval {
+    let task = engine.task();
+    EmbeddingNnBlocker::default().retrieve(&task.left, &task.right, IndexSide::Right, k)
+}
+
 /// Bitwise equality via the JSON writer: it emits shortest round-tripping
 /// floats, so string equality is `to_bits` equality on every measure.
 fn assert_assessments_identical(engine: &Engine, label: &str) {
     let incremental = engine.assess().expect("assess after full ingest");
-    let rebuilt = engine.assess_rebuilt().expect("batch rebuild assess");
+    let rebuilt = batch_assess(engine).expect("batch rebuild assess");
     assert_eq!(
         incremental.linearity.max_f1().to_bits(),
         rebuilt.linearity.max_f1().to_bits(),
@@ -142,7 +156,7 @@ fn random_ingest_interleavings_are_twins_of_batch_rebuild() {
         // Blocking twin: same ranked ids in the same order.
         let k = 1 + rng.index(4);
         let incremental = engine.link(k);
-        let rebuilt = engine.link_rebuilt(k);
+        let rebuilt = batch_link(&engine, k);
         assert_eq!(
             incremental.ranked, rebuilt.ranked,
             "case {case}: link diverged"
@@ -249,7 +263,7 @@ fn one_record_per_batch_is_a_twin() {
     assert!(pending.is_empty());
     assert_eq!(engine.stats().pairs, task.total_pairs());
     assert_assessments_identical(&engine, "one-by-one");
-    assert_eq!(engine.link(3).ranked, engine.link_rebuilt(3).ranked);
+    assert_eq!(engine.link(3).ranked, batch_link(&engine, 3).ranked);
 }
 
 #[test]
@@ -293,13 +307,13 @@ fn intermediate_prefixes_are_twins_too() {
         match engine.assess() {
             Ok(_) => assert_assessments_identical(&engine, &format!("cut {i}")),
             Err(_) => assert!(
-                engine.assess_rebuilt().is_err(),
+                batch_assess(&engine).is_err(),
                 "cut {i}: twin disagrees on assessability"
             ),
         }
         assert_eq!(
             engine.link(2).ranked,
-            engine.link_rebuilt(2).ranked,
+            batch_link(&engine, 2).ranked,
             "cut {i}"
         );
     }

@@ -4,7 +4,7 @@
 //! records, no polluted `seen_pairs` or splits, and a clean path forward
 //! for the next valid request.
 
-use rlb_serve::{handle_request, Engine};
+use rlb_serve::{Engine, Session};
 use rlb_util::json::Value;
 use std::sync::RwLock;
 
@@ -13,7 +13,8 @@ fn ok(v: &Value) -> bool {
 }
 
 fn request(engine: &RwLock<Engine>, line: &str) -> Value {
-    let (response, _) = handle_request(engine, &Value::parse(line).expect("request parses"));
+    let (response, _) =
+        Session::default().handle(engine, &Value::parse(line).expect("request parses"));
     response
 }
 
@@ -127,4 +128,30 @@ fn structurally_bad_batches_are_all_or_nothing_too() {
             "{bad_line} mutated the engine"
         );
     }
+}
+
+#[test]
+fn huge_link_k_is_bounded_by_the_store() {
+    // `k` sizes top-K heaps and candidate buffers; a wire value far beyond
+    // the store must not preallocate for it (that aborted the process,
+    // ending every session), only retain what exists.
+    let engine = RwLock::new(Engine::new("huge-k"));
+    let seeded = request(
+        &engine,
+        concat!(
+            r#"{"op":"ingest","attributes":["name"],"left":[["acme widget"],["zen speaker"]],"#,
+            r#""right":[["acme wdget"],["zen speakers"],["kordia laptop"]]}"#
+        ),
+    );
+    assert!(ok(&seeded), "{seeded:?}");
+    for nprobe in ["", r#","nprobe":8"#] {
+        let every = request(&engine, &format!(r#"{{"op":"link","k":3{nprobe}}}"#));
+        let huge = request(&engine, &format!(r#"{{"op":"link","k":1e15{nprobe}}}"#));
+        assert!(ok(&every), "{every:?}");
+        assert!(ok(&huge), "{huge:?}");
+        assert_eq!(huge.get("pairs"), every.get("pairs"), "nprobe {nprobe:?}");
+        assert_eq!(huge.get("total"), every.get("total"), "nprobe {nprobe:?}");
+    }
+    let stats = request(&engine, r#"{"op":"stats"}"#);
+    assert!(ok(&stats), "the service still answers: {stats:?}");
 }
