@@ -25,7 +25,9 @@
 //! `RLB_ANN_NPROBE` (index), `RLB_BENCH_SAMPLES` / `RLB_BENCH_WARMUP`
 //! (harness).
 
-use rlb_bench::timing::{group, resolved_samples, resolved_warmup, threads_metadata, Harness};
+use rlb_bench::timing::{
+    group, host_cores, resolved_samples, resolved_warmup, threads_metadata, Harness,
+};
 use rlb_blocking::{
     rank_queries, rank_queries_serial, EmbeddingNnBlocker, IndexSide, IvfIndex, IvfParams, VecArena,
 };
@@ -232,7 +234,8 @@ fn sweep_nprobe(
 /// Repeats exact and probed retrieval at `RLB_THREADS` ∈ {1, 2, 4, max}:
 /// rankings must be identical at every level, and each level's queries/sec
 /// lands in the scaling curve with the thread metadata that produced it.
-/// Restores the ambient `RLB_THREADS` before returning.
+/// Levels above the host's core count are marked `"oversubscribed": true`
+/// and get no speedup. Restores the ambient `RLB_THREADS` before returning.
 fn sweep_threads(
     h: &mut Harness,
     ivf: &IvfIndex,
@@ -242,7 +245,7 @@ fn sweep_threads(
     ann_ref: &[Vec<u32>],
 ) -> Vec<Value> {
     let ambient = std::env::var("RLB_THREADS").ok();
-    let max = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let max = host_cores();
     let mut levels: Vec<usize> = vec![1, 2, 4, max];
     levels.sort_unstable();
     levels.dedup();
@@ -275,6 +278,7 @@ fn sweep_threads(
             ann_ref,
             "probed ranking changed at RLB_THREADS={t}"
         );
+        let oversubscribed = t > max;
         let mut entry = vec![
             (
                 "exact_queries_per_sec".into(),
@@ -284,12 +288,15 @@ fn sweep_threads(
                 "ann_queries_per_sec".into(),
                 Value::Num(queries.len() as f64 / ann_stats.median.as_secs_f64()),
             ),
-            (
+            ("oversubscribed".into(), Value::Bool(oversubscribed)),
+        ];
+        if !oversubscribed {
+            entry.push((
                 "ann_speedup".into(),
                 Value::Num(exact_stats.median.as_secs_f64() / ann_stats.median.as_secs_f64()),
-            ),
-            ("ranked_identical".into(), Value::Bool(true)),
-        ];
+            ));
+        }
+        entry.push(("ranked_identical".into(), Value::Bool(true)));
         entry.extend(threads_metadata());
         curve.push(Value::Obj(entry));
     }

@@ -25,7 +25,7 @@
 //! `RLB_BENCH_POINTS` (thread-sweep scale, default 20000),
 //! `RLB_BENCH_ESTIMATOR_POINTS` (estimator scale, default 100000).
 
-use rlb_bench::timing::{group, threads_metadata, Harness};
+use rlb_bench::timing::{group, host_cores, threads_metadata, Harness};
 use rlb_complexity::{
     compute, compute_ragged, estimator_bound, ComplexityConfig, ComplexityReport,
 };
@@ -140,12 +140,13 @@ fn bench_scale(h: &mut Harness, points: usize) -> Value {
 /// Repeats the exact run at `RLB_THREADS` ∈ {1, 2, 4, max}: every level's
 /// full report must be bit-identical (the thread-invariance contract at
 /// scale), and each level's timing lands in the scaling curve with the
-/// thread metadata that actually produced it. Restores the ambient
-/// `RLB_THREADS` before returning so the rest of the bench (and the CI
-/// smoke's external setting) is untouched.
+/// thread metadata that actually produced it. Levels above the host's core
+/// count are marked `"oversubscribed": true` and get no speedup. Restores
+/// the ambient `RLB_THREADS` before returning so the rest of the bench (and
+/// the CI smoke's external setting) is untouched.
 fn sweep_threads(h: &mut Harness, points: usize) -> Vec<Value> {
     let ambient = std::env::var("RLB_THREADS").ok();
-    let max = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let max = host_cores();
     let mut levels: Vec<usize> = vec![1, 2, 4, max];
     levels.sort_unstable();
     levels.dedup();
@@ -175,6 +176,7 @@ fn sweep_threads(h: &mut Harness, points: usize) -> Vec<Value> {
         if t == levels[0] {
             base_median = median_ms;
         }
+        let oversubscribed = t > max;
         let mut entry = vec![
             ("points".into(), Value::Num(points as f64)),
             ("median_ms".into(), Value::Num(median_ms)),
@@ -182,12 +184,15 @@ fn sweep_threads(h: &mut Harness, points: usize) -> Vec<Value> {
                 "points_per_sec".into(),
                 Value::Num(points as f64 / stats.median.as_secs_f64()),
             ),
-            (
+            ("oversubscribed".into(), Value::Bool(oversubscribed)),
+        ];
+        if !oversubscribed {
+            entry.push((
                 "speedup_vs_1_thread".into(),
                 Value::Num(base_median / median_ms),
-            ),
-            ("report_identical".into(), Value::Bool(true)),
-        ];
+            ));
+        }
+        entry.push(("report_identical".into(), Value::Bool(true)));
         entry.extend(threads_metadata());
         curve.push(Value::Obj(entry));
     }
@@ -277,6 +282,7 @@ fn main() {
     if sweep_points == BASELINE_POINTS {
         let best = curve
             .iter()
+            .filter(|e| e.get("oversubscribed") == Some(&Value::Bool(false)))
             .filter_map(|e| e.get("median_ms").and_then(Value::as_f64))
             .fold(f64::INFINITY, f64::min);
         let speedup = RECORDED_BASELINE_MS / best;

@@ -7,12 +7,13 @@
 //!
 //! ```json
 //! {
-//!   "fingerprint": "rlb-bench-v1",
+//!   "fingerprint": "rlb-bench-v2",
 //!   "bench": "<name>",
 //!   "samples": <RLB_BENCH_SAMPLES or 10>,
 //!   "warmup": <RLB_BENCH_WARMUP or 2>,
 //!   "threads_resolved": <worker count>,
 //!   "threads_env": <raw RLB_THREADS or null>,
+//!   "host_cores": <available_parallelism>,
 //!   ...bench-specific fields...
 //! }
 //! ```
@@ -26,7 +27,7 @@ use crate::timing::{resolved_samples, resolved_warmup, threads_metadata};
 use rlb_util::json::Value;
 
 /// Format fingerprint stamped into every artifact this module writes.
-pub const BENCH_FINGERPRINT: &str = "rlb-bench-v1";
+pub const BENCH_FINGERPRINT: &str = "rlb-bench-v2";
 
 /// Writes `BENCH_<name>.json` at the workspace root: the shared envelope
 /// followed by `fields` in order. Returns the path written. Panics on I/O

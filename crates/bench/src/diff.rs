@@ -1,7 +1,7 @@
 //! `rlb-metrics-diff`: the metrics regression gate.
 //!
 //! Compares two metrics artifacts — `RUN_METRICS.json` (`rlb-obs-v2`) or
-//! `BENCH_*.json` (`rlb-bench-v1`) — leaf by numeric leaf under explicit
+//! `BENCH_*.json` (`rlb-bench-v2`) — leaf by numeric leaf under explicit
 //! per-path relative tolerances, and emits a machine-readable verdict. CI
 //! runs it against committed baselines so a perf or counter regression
 //! fails the build with the exact offending path, not a vague "smoke looks

@@ -13,16 +13,24 @@ use rlb_util::json::Value;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+/// Cores the host offers (`std::thread::available_parallelism`), whatever
+/// `RLB_THREADS` says. A scaling level with more threads than this is
+/// oversubscribed: its timings say nothing about how the code scales.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Thread-count metadata for bench artifacts: the worker count
-/// [`rlb_util::par::thread_count`] actually resolved **and** the raw
-/// `RLB_THREADS` environment value (JSON `null` when unset).
+/// [`rlb_util::par::thread_count`] actually resolved, the raw
+/// `RLB_THREADS` environment value (JSON `null` when unset), and the
+/// host's core count ([`host_cores`]).
 ///
 /// Earlier artifacts recorded a single `"threads"` number with no record of
 /// where it came from, so a run whose `RLB_THREADS` was ignored (typo'd,
 /// clamped, or overridden by a sweep) was indistinguishable from a run that
-/// honored it. Every `BENCH_*.json` writer embeds both fields — at the top
+/// honored it. Every `BENCH_*.json` writer embeds these fields — at the top
 /// level and once per sweep sample — so recorded metadata can be audited
-/// against the environment that produced it.
+/// against the environment and the host that produced it.
 pub fn threads_metadata() -> Vec<(String, Value)> {
     let raw = std::env::var("RLB_THREADS").ok();
     vec![
@@ -31,6 +39,7 @@ pub fn threads_metadata() -> Vec<(String, Value)> {
             Value::Num(rlb_util::par::thread_count() as f64),
         ),
         ("threads_env".into(), raw.map_or(Value::Null, Value::Str)),
+        ("host_cores".into(), Value::Num(host_cores() as f64)),
     ]
 }
 
@@ -214,6 +223,8 @@ mod tests {
             Value::Null | Value::Str(_) => {}
             other => panic!("threads_env should be raw string or null, got {other:?}"),
         }
+        assert_eq!(fields[2].0, "host_cores");
+        assert_eq!(fields[2].1.as_f64(), Some(host_cores() as f64));
     }
 
     #[test]

@@ -242,8 +242,14 @@ fn shared_measures<R: AsRef<[f64]> + Clone>(
 ) -> (Vec<R>, Vec<bool>, [f64; 2], [f64; 4], [f64; 2]) {
     let (c1, c2) = balance::class_balance(labels);
     let (xs, ys) = stratified_subsample(features, labels, cfg.max_points, cfg.seed);
-    let (f1, f1v, f2, f3) = feature::feature_measures(&xs, &ys);
-    let (l1, l2) = linearity::linearity_measures(&xs, &ys, cfg.seed);
+    let (f1, f1v, f2, f3) = {
+        let _span = rlb_obs::span!("complexity.features");
+        feature::feature_measures(&xs, &ys)
+    };
+    let (l1, l2) = {
+        let _span = rlb_obs::span!("complexity.linearity");
+        linearity::linearity_measures(&xs, &ys, cfg.seed)
+    };
     (xs, ys, [c1, c2], [f1, f1v, f2, f3], [l1, l2])
 }
 
@@ -693,6 +699,37 @@ mod tests {
         assert_eq!(cfg.max_points, ComplexityConfig::default().max_points);
         std::env::remove_var("RLB_COMPLEXITY_SAMPLE");
         std::env::remove_var("RLB_COMPLEXITY_MAX_POINTS");
+    }
+
+    #[test]
+    fn compute_opens_one_span_per_measure_group() {
+        let (xs, ys) = separated(200, 0.5, 0.3, 10);
+        compute(&xs, &ys, &ComplexityConfig::default()).unwrap();
+        let spans = rlb_obs::take_spans();
+        let computes: Vec<u64> = spans
+            .iter()
+            .filter(|s| s.name == "complexity.compute")
+            .map(|s| s.id)
+            .collect();
+        for group in [
+            "features",
+            "linearity",
+            "nn",
+            "n1",
+            "n4",
+            "t1_lsc",
+            "graph",
+            "cls",
+            "hub",
+        ] {
+            let name = format!("complexity.{group}");
+            assert!(
+                spans
+                    .iter()
+                    .any(|s| s.name == name && s.parent.is_some_and(|p| computes.contains(&p))),
+                "no {name} span inside complexity.compute"
+            );
+        }
     }
 
     #[test]

@@ -141,19 +141,31 @@ pub fn neighborhood_measures(
     rng: &mut Prng,
 ) -> NeighborhoodMeasures {
     let n = engine.len();
-    let nn = engine.map_rows(|i, row| nn_scan(i, row, ys));
+    let nn = {
+        let _span = rlb_obs::span!("complexity.nn");
+        engine.map_rows(|i, row| nn_scan(i, row, ys))
+    };
     let nn_extra_d: Vec<f64> = nn.iter().map(|&(_, _, d)| d).collect();
-    let n1 = n1_mst(ys, engine);
+    let n1 = {
+        let _span = rlb_obs::span!("complexity.n1");
+        n1_mst(ys, engine)
+    };
     let points: Vec<&[f64]> = (0..n).map(|i| engine.point(i)).collect();
     // Classify each synthetic point through the chunked columnar kernel; the
     // per-pair FP op order matches `GowerSpace::distance` exactly, so the
     // argmin (and thus n4) is bit-identical to the ragged twin's scalar scan.
-    let n4 = n4_interpolated(&points, ys, n4_ratio, rng, |q| {
-        let mut buf = vec![0.0; n];
-        engine.query_row_into(q, &mut buf);
-        argmin(&buf)
-    });
-    let t1_lsc = engine.map_rows(|i, row| t1_lsc_scan(i, row, &nn_extra_d));
+    let n4 = {
+        let _span = rlb_obs::span!("complexity.n4");
+        n4_interpolated(&points, ys, n4_ratio, rng, |q| {
+            let mut buf = vec![0.0; n];
+            engine.query_row_into(q, &mut buf);
+            argmin(&buf)
+        })
+    };
+    let t1_lsc = {
+        let _span = rlb_obs::span!("complexity.t1_lsc");
+        engine.map_rows(|i, row| t1_lsc_scan(i, row, &nn_extra_d))
+    };
     finish(ys, &nn, n1, n4, &t1_lsc)
 }
 
@@ -236,11 +248,12 @@ fn n1_prim(ys: &[bool], mut fill_row: impl FnMut(usize, &mut [f64])) -> f64 {
     borderline.iter().filter(|&&b| b).count() as f64 / n as f64
 }
 
-/// Streaming `n1`: Prim over on-the-fly engine rows. The frontier row is
-/// the only distance work per step, so it is filled by all workers in
-/// disjoint spans (`row_into_par`) — span boundaries cannot change bits.
+/// Streaming `n1`: Prim over on-the-fly engine rows. Each frontier row is
+/// filled sequentially: one row is a few microseconds of chunked kernel
+/// work, far less than starting and joining worker threads on each of the
+/// n − 1 steps would cost.
 fn n1_mst(ys: &[bool], engine: &DistanceEngine) -> f64 {
-    n1_prim(ys, |i, buf| engine.row_into_par(i, buf))
+    n1_prim(ys, |i, buf| engine.row_into(i, buf))
 }
 
 /// Ragged `n1` twin over the materialized matrix.

@@ -13,8 +13,9 @@
 //! average degree in the thousands, where per-edge neighbour-list
 //! intersection is intractable); [`network_measures_ragged`] is the
 //! materialized O(n²)-distance, adjacency-list twin. Both count the
-//! identical integer edge/triangle quantities and accumulate the same f64
-//! operations in the same order, so every value is byte-identical.
+//! identical integer edge/triangle quantities and add the same f64 values in
+//! the same order (hub's block kernel adds exact `+0.0`s in between, see
+//! [`hub_block`]), so every value is byte-identical.
 //!
 //! The cluster-sorted relabeling exploits ε-graph geometry: Gower distance
 //! `< ε` bounds every per-dimension normalized difference by `ε · dims`, so
@@ -34,10 +35,15 @@ use rlb_textsim::gower::DistanceEngine;
 /// rows stay cache-resident.
 const CLS_BLOCK: usize = 64;
 
+/// Rows per block in hub's power-iteration kernel ([`hub_block`]): sixteen
+/// f64 accumulators fill four 4-lane AVX2 registers.
+const HUB_BLOCK: usize = 16;
+
 /// Computes `(den, cls, hub)` by streaming distance rows out of the engine.
 pub fn network_measures(ys: &[bool], engine: &DistanceEngine, epsilon: f64) -> (f64, f64, f64) {
     let n = ys.len();
     let stride = n.div_ceil(64);
+    let graph_span = rlb_obs::span!("complexity.graph");
     let rank = cluster_rank(ys, engine);
     // Row i's same-class ε-neighbours as bitsets in both labelings. The
     // predicate is symmetric and the diagonal is excluded, so both matrices
@@ -80,6 +86,7 @@ pub fn network_measures(ys: &[bool], engine: &DistanceEngine, epsilon: f64) -> (
     } else {
         1.0 - edges as f64 / possible as f64
     };
+    drop(graph_span);
 
     // cls = 1 − mean local clustering coefficient. For node i, each closed
     // neighbour pair {u, v} ⊆ N(i) is counted exactly once: iterating the
@@ -91,6 +98,7 @@ pub fn network_measures(ys: &[bool], engine: &DistanceEngine, epsilon: f64) -> (
     // neighbourhood band, so the `ru` rows a node intersects are the ones
     // its predecessor just touched — the whole band stays cache-resident
     // instead of being refetched per node.
+    let cls_span = rlb_obs::span!("complexity.cls");
     let nblocks = n.div_ceil(CLS_BLOCK);
     let closed_blocks: Vec<Vec<usize>> = rlb_util::par::par_map_range(nblocks, |blk| {
         let b0 = blk * CLS_BLOCK;
@@ -172,59 +180,19 @@ pub fn network_measures(ys: &[bool], engine: &DistanceEngine, epsilon: f64) -> (
         }
     }
     let cls = 1.0 - cls_sum / n as f64;
+    drop(cls_span);
 
     // hub = 1 − mean normalized hub score (principal eigenvector of the
-    // adjacency matrix via power iteration). Each next[i] sums v[j] over
-    // set bits in ascending j — the ragged twin's sorted adjacency order.
+    // adjacency matrix via power iteration), `next = A·v` one block of
+    // `HUB_BLOCK` rows at a time — see `hub_block`.
     let hub = {
+        let _span = rlb_obs::span!("complexity.hub");
         let mut v = vec![1.0f64; n];
         for _ in 0..50 {
-            // Each row's sum walks its set bits in ascending j — identical
-            // FP order to the ragged twin's sorted adjacency lists. Rows are
-            // processed four at a time so the four independent accumulator
-            // chains overlap in the pipeline (a single chain is bound by
-            // FP-add latency); interleaving across rows reorders nothing
-            // within any row.
-            let row_sum = |i: usize| {
-                let mut acc = 0.0f64;
-                for (w, &bits) in rows[i].iter().enumerate() {
-                    let base = w * 64;
-                    let mut b = bits;
-                    while b != 0 {
-                        acc += v[base + b.trailing_zeros() as usize];
-                        b &= b - 1;
-                    }
-                }
-                acc
-            };
-            let mut next: Vec<f64> = vec![0.0; n];
-            rlb_util::par::par_fill(&mut next, |start, span| {
-                let mut i = 0;
-                while i + 4 <= span.len() {
-                    let quad = [start + i, start + i + 1, start + i + 2, start + i + 3];
-                    let mut accs = [0.0f64; 4];
-                    // `w` walks the words of four *different* rows in
-                    // lockstep; clippy's iterator rewrite would walk `rows`
-                    // (n entries) instead of the per-row word vectors.
-                    #[allow(clippy::needless_range_loop)]
-                    for w in 0..stride {
-                        let base = w * 64;
-                        for (q, &row) in quad.iter().enumerate() {
-                            let mut b = rows[row][w];
-                            while b != 0 {
-                                accs[q] += v[base + b.trailing_zeros() as usize];
-                                b &= b - 1;
-                            }
-                        }
-                    }
-                    span[i..i + 4].copy_from_slice(&accs);
-                    i += 4;
-                }
-                while i < span.len() {
-                    span[i] = row_sum(start + i);
-                    i += 1;
-                }
+            let blocks = rlb_util::par::par_map_range(n.div_ceil(HUB_BLOCK), |b| {
+                hub_block(&rows[b * HUB_BLOCK..((b + 1) * HUB_BLOCK).min(n)], &v)
             });
+            let mut next: Vec<f64> = blocks.into_iter().flatten().take(n).collect();
             let norm = next.iter().map(|x| x * x).sum::<f64>().sqrt();
             if norm < 1e-12 {
                 v = vec![0.0; n];
@@ -239,6 +207,41 @@ pub fn network_measures(ys: &[bool], engine: &DistanceEngine, epsilon: f64) -> (
     };
 
     (den, cls, hub)
+}
+
+/// `Σ v[j]` over the set bits of each of up to [`HUB_BLOCK`] bitset rows:
+/// one power-iteration step for a block of rows.
+///
+/// The block walks the words one column at a time. Each row's word is
+/// bit-reversed once, so neighbour `j` sits in the sign bit when its turn
+/// comes; every row then adds `v[j]` when that bit is set and `+0.0`
+/// otherwise, and shifts left by one. The select is a compare per lane, so
+/// the rows accumulate side by side in vector registers. A word that is
+/// zero in every row of the block is skipped.
+///
+/// Bit-identity with the ragged twin's sorted adjacency walk: `v ≥ 0` at
+/// every power iteration, so each accumulator starts at `+0.0` and never
+/// becomes `−0.0` or NaN, and adding `+0.0` to it is exact. Each row
+/// therefore still adds exactly its neighbours' `v[j]`, in ascending `j`.
+/// Rows past the end of a short block stay `0.0`.
+fn hub_block(rows: &[Vec<u64>], v: &[f64]) -> [f64; HUB_BLOCK] {
+    let mut acc = [0.0f64; HUB_BLOCK];
+    for (w, vs) in v.chunks(64).enumerate() {
+        let mut masks = [0u64; HUB_BLOCK];
+        for (m, row) in masks.iter_mut().zip(rows) {
+            *m = row[w].reverse_bits();
+        }
+        if masks.iter().all(|&m| m == 0) {
+            continue;
+        }
+        for &vj in vs {
+            for (a, m) in acc.iter_mut().zip(masks.iter_mut()) {
+                *a += if (*m as i64) < 0 { vj } else { 0.0 };
+                *m <<= 1;
+            }
+        }
+    }
+    acc
 }
 
 /// Relabels nodes so ε-neighbourhoods become contiguous rank bands: sort by
@@ -293,10 +296,9 @@ fn above_bit_mask(b: usize) -> u64 {
     }
 }
 
-/// Ascending indices of the set bits of a packed bitset. The hot loops
-/// (hub's row sums, the cls intersection sweep) hand-roll this walk for
-/// speed; the helper stays as the executable specification the
-/// `bit_iteration_is_ascending_and_complete` test pins.
+/// Ascending indices of the set bits of a packed bitset: the order in which
+/// [`hub_block`] adds each row's neighbours, kept as the executable
+/// specification the `bit_iteration_is_ascending_and_complete` test pins.
 #[cfg(test)]
 fn iter_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words.iter().enumerate().flat_map(|(w, &bits)| {
@@ -531,12 +533,22 @@ mod tests {
     #[test]
     fn boundary_crossing_bitset_sizes_stay_identical() {
         // n at and around the 64-bit word boundary exercises the packed
-        // adjacency's partial last word.
+        // adjacency's partial last word; n around multiples of HUB_BLOCK
+        // exercises hub's short last block.
         let mut rng = rlb_util::Prng::seed_from_u64(3);
-        for n in [63usize, 64, 65, 128, 129] {
+        for n in [15usize, 16, 17, 31, 33, 63, 64, 65, 128, 129] {
             let xs: Vec<Vec<f64>> = (0..n).map(|_| vec![rng.f64(), rng.f64()]).collect();
             let ys: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
             graph_for(&xs, &ys, 0.2);
         }
+        // A tiny ε leaves most nodes isolated and most words zero in every
+        // row of a hub block, so the zero-word skip does real work. Fewer
+        // than 20 edges touch at most 40 of the 200 nodes.
+        let n = 200;
+        let xs: Vec<Vec<f64>> = (0..n).map(|_| vec![rng.f64(), rng.f64()]).collect();
+        let ys: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
+        let (den, _, hub) = graph_for(&xs, &ys, 0.01);
+        assert!(den > 1.0 - 20.0 / (n * (n - 1) / 2) as f64, "den {den}");
+        assert!(hub < 1.0, "some edges remain: hub {hub}");
     }
 }

@@ -267,20 +267,6 @@ impl DistanceEngine {
         out[i] = 0.0;
     }
 
-    /// Parallel [`row_into`](DistanceEngine::row_into): workers fill
-    /// disjoint contiguous spans of the same row buffer via
-    /// [`rlb_util::par::par_fill`]. Span boundaries cannot change bits
-    /// (see [`query_span_into`](DistanceEngine::query_span_into)), so the
-    /// result is identical to the sequential fill at any thread count.
-    /// Worth it for single hot rows (e.g. Prim's MST frontier); `map_rows`
-    /// already parallelizes across rows and should keep its per-tile fill.
-    pub fn row_into_par(&self, i: usize, out: &mut [f64]) {
-        assert_eq!(out.len(), self.n, "row buffer length");
-        let q = self.point(i);
-        rlb_util::par::par_fill(out, |start, span| self.query_span_into(q, start, span));
-        out[i] = 0.0;
-    }
-
     /// Streams every distance row through `f` and collects the results in
     /// row order: the streaming equivalent of mapping over `pairwise` rows.
     ///
@@ -440,17 +426,10 @@ mod tests {
             let matrix = space.pairwise(&data);
             let engine = DistanceEngine::fit(&data).unwrap();
             let mut buf = vec![0.0; n];
-            let mut par_buf = vec![0.0; n];
             for (i, expected) in matrix.iter().enumerate() {
                 engine.row_into(i, &mut buf);
-                engine.row_into_par(i, &mut par_buf);
                 for j in 0..n {
                     assert_eq!(buf[j].to_bits(), expected[j].to_bits(), "n={n} ({i},{j})");
-                    assert_eq!(
-                        par_buf[j].to_bits(),
-                        buf[j].to_bits(),
-                        "par n={n} ({i},{j})"
-                    );
                 }
             }
         }

@@ -218,62 +218,6 @@ where
     par_map_range(chunks.len(), |i| f(i, chunks[i]))
 }
 
-/// Fills `out` in place by handing each worker a disjoint contiguous span:
-/// `f(start, span)` must write every element of `span`, whose first element
-/// is `out[start]`. One span per worker (no work stealing — span fills are
-/// assumed uniform-cost, like distance-kernel stripes), sequential below
-/// [`SEQUENTIAL_CUTOFF`] or at one thread.
-///
-/// Because each element is written by exactly one worker from the same
-/// `(start, span)` arguments a sequential pass would use, the filled buffer
-/// is identical at any thread count whenever `f` itself is deterministic
-/// per element.
-pub fn par_fill<T, F>(out: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let n = out.len();
-    let threads = thread_count().min(n.max(1));
-    if threads <= 1 || n < SEQUENTIAL_CUTOFF {
-        f(0, out);
-        return;
-    }
-    let per = n.div_ceil(threads);
-    let f = &f;
-    let hook = WORKER_HOOK.get().copied();
-    timed_region(|| {
-        std::thread::scope(|scope| {
-            let mut rest = out;
-            let mut start = 0;
-            let mut worker = 0;
-            while !rest.is_empty() {
-                let take = per.min(rest.len());
-                let (span, tail) = rest.split_at_mut(take);
-                rest = tail;
-                let span_start = start;
-                start += take;
-                let w = worker;
-                worker += 1;
-                scope.spawn(move || {
-                    let spawned = hook.map(|_| Instant::now());
-                    f(span_start, span);
-                    if let (Some(hook), Some(spawned)) = (hook, spawned) {
-                        let elapsed_ns = spawned.elapsed().as_nanos() as u64;
-                        hook(WorkerStats {
-                            worker: w,
-                            threads,
-                            tasks: take as u64,
-                            busy_ns: elapsed_ns,
-                            elapsed_ns,
-                        });
-                    }
-                });
-            }
-        })
-    });
-}
-
 /// Parallel `items.into_iter().map(f).collect()` for owned, mutable work
 /// items (e.g. fitting a roster of matchers). Items are split into one
 /// contiguous slab per worker; output order matches input order.
@@ -397,22 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn par_fill_matches_sequential_fill() {
-        for n in [0usize, 1, 5, 31, 32, 33, 1_000] {
-            let mut seq = vec![0u64; n];
-            let write = |start: usize, span: &mut [u64]| {
-                for (k, slot) in span.iter_mut().enumerate() {
-                    *slot = ((start + k) as u64).wrapping_mul(0x9E37) ^ 0x55;
-                }
-            };
-            write(0, &mut seq);
-            let mut par = vec![0u64; n];
-            par_fill(&mut par, write);
-            assert_eq!(par, seq, "n={n}");
-        }
-    }
-
-    #[test]
     fn par_map_vec_consumes_and_preserves_order() {
         let matchers: Vec<String> = (0..100).map(|i| format!("m{i}")).collect();
         let out = par_map_vec(matchers, |mut m| {
@@ -487,18 +415,12 @@ mod tests {
         }
         let before = CAPTURED_REGIONS.lock().unwrap().len();
         let _ = par_map_range(4_096, |i| i * 2);
-        let mut buf = vec![0u64; 4_096];
-        par_fill(&mut buf, |start, span| {
-            for (k, slot) in span.iter_mut().enumerate() {
-                *slot = (start + k) as u64;
-            }
-        });
         let _ = par_map_vec((0..4_096).collect::<Vec<usize>>(), |i| i + 1);
         let regions = CAPTURED_REGIONS.lock().unwrap();
-        // Concurrent tests may add regions of their own; ours alone add 3.
+        // Concurrent tests may add regions of their own; ours alone add 2.
         assert!(
-            regions.len() - before >= 3,
-            "hook saw {} new regions, expected at least 3",
+            regions.len() - before >= 2,
+            "hook saw {} new regions, expected at least 2",
             regions.len() - before
         );
     }
