@@ -17,12 +17,14 @@
 //!   — asserted here, not just reported.
 //! - **Concurrent sessions**: N ∈ {1, 2, 4} client threads hammering the
 //!   `RwLock`-shared engine with read ops; requests/sec per level goes in
-//!   the artifact, and the assessment must be unchanged afterwards.
+//!   the artifact (levels above the host's core count marked
+//!   `"oversubscribed": true`), and the assessment must be unchanged
+//!   afterwards.
 //!
 //! Results go to `BENCH_service.json` (the CI smoke run asserts
 //! `"identical": true`).
 
-use rlb_bench::timing::{group, Harness};
+use rlb_bench::timing::{group, host_cores, Harness};
 use rlb_blocking::{EmbeddingNnBlocker, IndexSide};
 use rlb_core::assess_with;
 use rlb_matchers::features::TaskViewCache;
@@ -284,13 +286,21 @@ fn main() {
     for threads in SESSION_LEVELS {
         let (issued, wall) = concurrent_sessions(&engine, threads);
         let rps = issued as f64 / wall.as_secs_f64();
-        println!("  {threads} session(s): {issued} requests, {rps:.0} requests/sec");
+        // More sessions than cores measure time-slicing, not scaling.
+        let oversubscribed = threads > host_cores();
+        let note = if oversubscribed {
+            " (oversubscribed)"
+        } else {
+            ""
+        };
+        println!("  {threads} session(s): {issued} requests, {rps:.0} requests/sec{note}");
         scaling.push((
             threads.to_string(),
             Value::Obj(vec![
                 ("requests".into(), Value::Num(issued as f64)),
                 ("wall_ms".into(), Value::Num(wall.as_secs_f64() * 1e3)),
                 ("requests_per_sec".into(), Value::Num(rps)),
+                ("oversubscribed".into(), Value::Bool(oversubscribed)),
             ]),
         ));
     }

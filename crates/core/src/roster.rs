@@ -117,10 +117,13 @@ fn roster_impl(
 /// any other error propagates.
 ///
 /// The 23 configurations are independent (each owns its matcher, the task is
-/// shared read-only), so they run in parallel via [`rlb_util::par`]; results
-/// come back in roster order. One [`TaskViewCache`] is built up front and
-/// shared by the six ESDE variants (the q-gram views it carries are built
-/// lazily, once, by whichever of SAQ/SBQ gets there first).
+/// shared read-only), so they run in parallel via
+/// [`rlb_util::par::par_map_vec`]: each worker claims the next configuration
+/// in roster order when it finishes one, and results come back in roster
+/// order. One [`TaskViewCache`] is built up front and shared by the six
+/// ESDE variants (SAQ-ESDE builds its q-gram views lazily on first use,
+/// SBQ-ESDE its per-attribute ones; two workers may build them side by
+/// side).
 pub fn run_roster(task: &MatchingTask, cfg: &RosterConfig) -> rlb_util::Result<Vec<MatcherRun>> {
     let _span = rlb_obs::span!("roster.run", "{}", task.name);
     let views = TaskViewCache::build(task);

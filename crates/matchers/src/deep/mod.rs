@@ -187,7 +187,7 @@ pub fn is_insufficient_memory(e: &Error) -> bool {
 
 /// Stratified subsample of labelled pairs up to `cap`, preserving the
 /// positive fraction (at least one positive and one negative retained when
-/// available).
+/// available and the cap leaves room for them).
 pub(crate) fn subsample_train(
     pairs: &[LabeledPair],
     cap: usize,
@@ -199,7 +199,8 @@ pub(crate) fn subsample_train(
     let pos: Vec<&LabeledPair> = pairs.iter().filter(|p| p.is_match).collect();
     let neg: Vec<&LabeledPair> = pairs.iter().filter(|p| !p.is_match).collect();
     let pos_take = (((pos.len() as f64 / pairs.len() as f64) * cap as f64).round() as usize)
-        .clamp(1.min(pos.len()), pos.len());
+        .clamp(1.min(pos.len()), pos.len())
+        .min(cap);
     let neg_take = (cap - pos_take).min(neg.len());
     let mut out = Vec::with_capacity(pos_take + neg_take);
     for i in rng.sample_indices(pos.len(), pos_take) {
@@ -246,6 +247,18 @@ where
 mod tests {
     use super::*;
     use rlb_data::LabeledPair;
+
+    #[test]
+    fn subsample_respects_tiny_caps() {
+        let pairs: Vec<LabeledPair> = (0..10)
+            .map(|i| LabeledPair::new(i, i, i % 2 == 0))
+            .collect();
+        let mut rng = Prng::seed_from_u64(1);
+        assert!(subsample_train(&pairs, 0, &mut rng).is_empty());
+        let one = subsample_train(&pairs, 1, &mut rng);
+        assert_eq!(one.len(), 1);
+        assert!(one[0].is_match);
+    }
 
     #[test]
     fn subsample_preserves_class_balance() {

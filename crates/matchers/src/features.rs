@@ -75,6 +75,26 @@ fn tokenize_source(records: &[Record], arity: usize) -> Vec<Vec<Vec<String>>> {
     })
 }
 
+/// Records whose q-gram strings exist at once while q-gram views are built.
+const QGRAM_CHUNK: usize = 256;
+
+/// Generates `grams` for each record in parallel, one [`QGRAM_CHUNK`] at a
+/// time, and interns them in record order; a chunk's strings are dropped
+/// before the next chunk is generated. The interner sees the same tokens in
+/// the same order as it would after generating everything up front.
+fn interned_in_chunks<G: Send, V>(
+    records: &[Record],
+    grams: impl Fn(&Record) -> G + Sync,
+    mut intern: impl FnMut(&G) -> V,
+) -> Vec<V> {
+    let mut out = Vec::with_capacity(records.len());
+    for chunk in records.chunks(QGRAM_CHUNK) {
+        let generated = rlb_util::par::par_map(chunk, &grams);
+        out.extend(generated.iter().map(&mut intern));
+    }
+    out
+}
+
 /// Interns pre-tokenized records, appending the resulting views to `out`.
 /// Sequential in record order, so a fresh interner assigns a deterministic
 /// dictionary; similarity outputs are id-label-independent either way (see
@@ -184,31 +204,24 @@ impl TaskViews {
     /// `task` must be the task the views were built from.
     pub fn qgrams_full(&self, task: &MatchingTask) -> &QgramViews {
         self.qgram_full.get_or_init(|| {
-            let gram = |records: &[Record]| -> Vec<Vec<Vec<String>>> {
-                rlb_util::par::par_map(records, |r| {
+            let mut interner = TokenInterner::new();
+            let mut build = |records: &[Record]| -> Vec<Vec<IdSet>> {
+                let grams = |r: &Record| -> Vec<Vec<String>> {
                     let text = r.full_text();
                     ESDE_Q_RANGE
                         .map(|q| rlb_textsim::tokenize::qgrams(&text, q))
                         .collect()
+                };
+                interned_in_chunks(records, grams, |per_q| {
+                    per_q
+                        .iter()
+                        .map(|g| IdSet::from_tokens(&mut interner, g.iter()))
+                        .collect()
                 })
             };
-            let left_grams = gram(&task.left.records);
-            let right_grams = gram(&task.right.records);
-            let mut interner = TokenInterner::new();
-            let mut build = |grams: Vec<Vec<Vec<String>>>| {
-                grams
-                    .into_iter()
-                    .map(|per_q| {
-                        per_q
-                            .into_iter()
-                            .map(|g| IdSet::from_tokens(&mut interner, g.iter()))
-                            .collect()
-                    })
-                    .collect()
-            };
             QgramViews {
-                left: build(left_grams),
-                right: build(right_grams),
+                left: build(&task.left.records),
+                right: build(&task.right.records),
             }
         })
     }
@@ -217,8 +230,9 @@ impl TaskViews {
     pub fn qgrams_per_attr(&self, task: &MatchingTask) -> &QgramAttrViews {
         self.qgram_attr.get_or_init(|| {
             let arity = self.arity;
-            let gram = |records: &[Record]| -> Vec<Vec<Vec<Vec<String>>>> {
-                rlb_util::par::par_map(records, |r| {
+            let mut interner = TokenInterner::new();
+            let mut build = |records: &[Record]| -> Vec<Vec<Vec<IdSet>>> {
+                let grams = |r: &Record| -> Vec<Vec<Vec<String>>> {
                     (0..arity)
                         .map(|a| {
                             ESDE_Q_RANGE
@@ -226,30 +240,22 @@ impl TaskViews {
                                 .collect()
                         })
                         .collect()
+                };
+                interned_in_chunks(records, grams, |attrs| {
+                    attrs
+                        .iter()
+                        .map(|per_q| {
+                            per_q
+                                .iter()
+                                .map(|g| IdSet::from_tokens(&mut interner, g.iter()))
+                                .collect()
+                        })
+                        .collect()
                 })
             };
-            let left_grams = gram(&task.left.records);
-            let right_grams = gram(&task.right.records);
-            let mut interner = TokenInterner::new();
-            let mut build = |grams: Vec<Vec<Vec<Vec<String>>>>| {
-                grams
-                    .into_iter()
-                    .map(|attrs| {
-                        attrs
-                            .into_iter()
-                            .map(|per_q| {
-                                per_q
-                                    .into_iter()
-                                    .map(|g| IdSet::from_tokens(&mut interner, g.iter()))
-                                    .collect()
-                            })
-                            .collect()
-                    })
-                    .collect()
-            };
             QgramAttrViews {
-                left: build(left_grams),
-                right: build(right_grams),
+                left: build(&task.left.records),
+                right: build(&task.right.records),
             }
         })
     }

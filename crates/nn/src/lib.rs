@@ -13,13 +13,20 @@
 //!   (it even patches EMTransformer to select the best epoch on the
 //!   validation set rather than the test set).
 //!
-//! Everything is `f32`, seeded, and single-threaded; at benchmark scale
-//! (thousands of pairs × ≤ few-hundred features) this trains in
-//! milliseconds, which is what lets the harness sweep 20+ matcher
-//! configurations over 21 datasets.
+//! Everything is `f32`, seeded, and single-threaded. At benchmark scale
+//! (thousands of pairs × ≤ few-hundred features) one training example of
+//! the 265→64→1 net costs a few microseconds, forward, backward and its
+//! share of the Adam step together, so the roster's twelve deep
+//! configurations per dataset train in seconds.
+//! Weight matrices are stored input-major so the forward pass vectorizes
+//! across outputs, and Adam steps over stuck subnormal moments by integer
+//! arithmetic; both keep every bit of the straightforward formulation
+//! (DESIGN.md §14).
 
 pub mod dense;
 pub mod mlp;
+#[cfg(test)]
+mod reference;
 
 pub use dense::{Activation, DenseLayer, HighwayLayer, Layer};
 pub use mlp::{Mlp, TrainConfig, TrainReport};

@@ -111,9 +111,9 @@ impl Mlp {
 
     /// Raw logit for one example.
     pub fn logit(&mut self, x: &[f32]) -> f32 {
-        let mut h = x.to_vec();
+        let mut h = x;
         for l in self.layers.iter_mut() {
-            h = l.forward(&h);
+            h = l.forward(h);
         }
         h[0]
     }
@@ -133,11 +133,19 @@ impl Mlp {
         xs.iter().map(|x| self.predict(x)).collect()
     }
 
+    /// Accumulates every parameter gradient for the last forward pass. The
+    /// first layer's input gradient is never read, so it is not computed.
     fn backprop(&mut self, dlogit: f32) {
-        let mut dy = vec![dlogit];
-        for l in self.layers.iter_mut().rev() {
-            dy = l.backward(&dy);
+        let (first, rest) = self
+            .layers
+            .split_first_mut()
+            .expect("an Mlp has an output layer");
+        let dlogit = [dlogit];
+        let mut dy: &[f32] = &dlogit;
+        for l in rest.iter_mut().rev() {
+            dy = l.backward(dy, true);
         }
+        first.backward(dy, false);
     }
 
     fn optimizer_step(&mut self, lr: f32) {
@@ -212,7 +220,13 @@ impl Mlp {
                     // the batch.
                     let w = if train_y[i] { pos_weight } else { 1.0 };
                     let g = w * (p - y) / chunk.len() as f32;
-                    self.backprop(g);
+                    // A saturated sigmoid gives g == 0. Backprop would then
+                    // add only ±0 terms (weights and features are finite)
+                    // to gradient sums that start at +0.0 and so are never
+                    // −0.0: not one bit would change.
+                    if g != 0.0 {
+                        self.backprop(g);
+                    }
                 }
                 self.optimizer_step(cfg.learning_rate);
             }
@@ -233,11 +247,7 @@ impl Mlp {
     }
 
     /// Copies all parameters out (used for validation-based selection).
-    fn snapshot(&mut self) -> Vec<Vec<f32>> {
-        // Round-trip through forward caches is unnecessary; each layer's
-        // parameters live in its Params. We reuse backward-free access by
-        // serializing through the Layer trait is overkill — instead, layers
-        // expose parameters via `Any`-free downcasting here:
+    pub(crate) fn snapshot(&self) -> Vec<Vec<f32>> {
         self.layers.iter().map(|l| l.params_flat()).collect()
     }
 
@@ -249,7 +259,7 @@ impl Mlp {
 }
 
 /// Local F1 to avoid a dependency cycle with `rlb-ml`.
-fn rlb_ml_f1(pred: &[bool], actual: &[bool]) -> f64 {
+pub(crate) fn rlb_ml_f1(pred: &[bool], actual: &[bool]) -> f64 {
     let mut tp = 0usize;
     let mut fp = 0usize;
     let mut fn_ = 0usize;

@@ -15,7 +15,7 @@
 //! the timing harness uses as its baseline).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Once, OnceLock};
+use std::sync::{Mutex, Once, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Inputs shorter than this run sequentially — thread spawn latency would
@@ -139,7 +139,16 @@ where
     }
     // ~8 chunks per worker keeps the claim overhead negligible while still
     // smoothing out skewed per-element cost.
-    let chunk = n.div_ceil(threads * 8).max(1);
+    claimed(n, threads, n.div_ceil(threads * 8).max(1), f)
+}
+
+/// Runs `(0..n).map(f)` on `threads` workers that claim `chunk` indices at
+/// a time off one atomic counter, and returns the results in index order.
+fn claimed<R, F>(n: usize, threads: usize, chunk: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
     let next = AtomicUsize::new(0);
     let next = &next;
     let f = &f;
@@ -160,7 +169,7 @@ where
                             }
                             let end = (start + chunk).min(n);
                             let t0 = spawned.map(|_| Instant::now());
-                            local.push((start, (start..end).map(&f).collect::<Vec<R>>()));
+                            local.push((start, (start..end).map(f).collect::<Vec<R>>()));
                             if let Some(t0) = t0 {
                                 busy += t0.elapsed();
                                 tasks += (end - start) as u64;
@@ -219,8 +228,9 @@ where
 }
 
 /// Parallel `items.into_iter().map(f).collect()` for owned, mutable work
-/// items (e.g. fitting a roster of matchers). Items are split into one
-/// contiguous slab per worker; output order matches input order.
+/// items (e.g. fitting a roster of matchers). Workers claim one item at a
+/// time, in input order, so a few expensive items cannot pile up on one
+/// worker; output order matches input order.
 pub fn par_map_vec<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -232,53 +242,16 @@ where
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let per = n.div_ceil(threads);
-    let mut slabs: Vec<Vec<T>> = Vec::with_capacity(threads);
-    let mut it = items.into_iter();
-    loop {
-        let slab: Vec<T> = it.by_ref().take(per).collect();
-        if slab.is_empty() {
-            break;
-        }
-        slabs.push(slab);
-    }
-    let f = &f;
-    let hook = WORKER_HOOK.get().copied();
-    let workers = slabs.len();
-    let mut out = Vec::with_capacity(n);
-    timed_region(|| {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = slabs
-                .into_iter()
-                .enumerate()
-                .map(|(worker, slab)| {
-                    scope.spawn(move || {
-                        let spawned = hook.map(|_| Instant::now());
-                        let tasks = slab.len() as u64;
-                        let results = slab.into_iter().map(f).collect::<Vec<R>>();
-                        if let (Some(hook), Some(spawned)) = (hook, spawned) {
-                            // Slab workers compute from start to finish; busy and
-                            // elapsed coincide (idle shows up in the snapshot as
-                            // the spread between worker elapsed times instead).
-                            let elapsed_ns = spawned.elapsed().as_nanos() as u64;
-                            hook(WorkerStats {
-                                worker,
-                                threads: workers,
-                                tasks,
-                                busy_ns: elapsed_ns,
-                                elapsed_ns,
-                            });
-                        }
-                        results
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("par_map_vec worker panicked"));
-            }
-        })
-    });
-    out
+    // Index `i` is claimed by exactly one worker, which takes item `i`.
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    claimed(n, threads, 1, |i| {
+        let item = slots[i]
+            .lock()
+            .expect("a slot's lock is only held to take its item")
+            .take()
+            .expect("each index is claimed once");
+        f(item)
+    })
 }
 
 #[cfg(test)]
