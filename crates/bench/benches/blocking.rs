@@ -3,8 +3,7 @@
 //! Builds a synthetic near-duplicate corpus (entities × corrupted variants),
 //! embeds it into a flat [`VecArena`], and measures:
 //!
-//! - **Exact baseline**: the parallel `rank_queries` kernel and its serial
-//!   twin, asserted byte-identical (`"serial_identical"`).
+//! - **Exact baseline**: queries/sec of the parallel `rank_queries` kernel.
 //! - **IVF retrieval**: k-means training cost, then queries/sec and
 //!   recall@K across an `nprobe` sweep; at the default `nprobe` recall@10
 //!   must be ≥ 0.95 (`"recall_ok"`), and at ≥ 1M records the probed path
@@ -28,9 +27,7 @@
 use rlb_bench::timing::{
     group, host_cores, resolved_samples, resolved_warmup, threads_metadata, Harness,
 };
-use rlb_blocking::{
-    rank_queries, rank_queries_serial, EmbeddingNnBlocker, IndexSide, IvfIndex, IvfParams, VecArena,
-};
+use rlb_blocking::{rank_queries, EmbeddingNnBlocker, IndexSide, IvfIndex, IvfParams, VecArena};
 use rlb_data::Source;
 use rlb_embed::HashedEmbedder;
 use rlb_util::json::Value;
@@ -388,7 +385,7 @@ fn main() {
         index.bytes() / (1024 * 1024)
     );
 
-    group("exact scan: parallel kernel vs serial twin");
+    group("exact scan");
     let mut last: Option<Vec<Vec<u32>>> = None;
     let exact_par = h.bench("rank_queries (parallel)", || {
         let r = rank_queries(&index, &query_arena, K);
@@ -397,20 +394,8 @@ fn main() {
         black_box(n)
     });
     let exact = last.expect("at least one sample ran");
-    let serial = h.bench("rank_queries_serial", || {
-        black_box(rank_queries_serial(&index, &query_arena, K).len())
-    });
-    assert_eq!(
-        rank_queries_serial(&index, &query_arena, K),
-        exact,
-        "parallel exact kernel diverged from the serial twin"
-    );
     let exact_qps = queries as f64 / exact_par.median.as_secs_f64();
-    println!(
-        "  byte-identical; parallel {exact_qps:.0} queries/sec \
-         (serial {:.0})",
-        queries as f64 / serial.median.as_secs_f64()
-    );
+    println!("  parallel {exact_qps:.0} queries/sec");
 
     group("IVF training");
     let mut ivf = IvfIndex::new(params);
@@ -467,7 +452,6 @@ fn main() {
 
     let mut fields = vec![
         ("identical".into(), Value::Bool(true)),
-        ("serial_identical".into(), Value::Bool(true)),
         ("recall_ok".into(), Value::Bool(true)),
         ("records".into(), Value::Num(records as f64)),
         ("queries".into(), Value::Num(queries as f64)),
@@ -479,10 +463,6 @@ fn main() {
         ("nlists".into(), Value::Num(ivf.nlists() as f64)),
         ("train_ms".into(), Value::Num(train_ms)),
         ("exact_queries_per_sec".into(), Value::Num(exact_qps)),
-        (
-            "exact_serial_queries_per_sec".into(),
-            Value::Num(queries as f64 / serial.median.as_secs_f64()),
-        ),
         ("default_nprobe".into(), Value::Num(default_nprobe as f64)),
         (format!("recall_at_{K}"), Value::Num(default_recall)),
         ("speedup_vs_exact".into(), Value::Num(speedup)),

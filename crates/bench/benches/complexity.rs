@@ -1,12 +1,11 @@
-//! Streaming-vs-ragged bench for the 17 complexity measures.
+//! Bench for the 17 complexity measures: [`rlb_complexity::compute`] over
+//! the streaming columnar
+//! [`DistanceEngine`](rlb_textsim::gower::DistanceEngine) kernels.
 //!
 //! Four jobs:
 //!
-//! - **Identity**: [`rlb_complexity::compute`] (streaming columnar
-//!   [`DistanceEngine`](rlb_textsim::gower::DistanceEngine) kernels) and
-//!   [`rlb_complexity::compute_ragged`] (materialized O(n²) matrix) must be
-//!   byte-identical on every one of the 17 values, at every scale where the
-//!   ragged matrix is still feasible.
+//! - **Throughput**: points/sec and peak distance-buffer memory at the old
+//!   1500-point default cap.
 //! - **Thread scaling**: the big exact run is repeated at `RLB_THREADS` ∈
 //!   {1, 2, 4, max}, the full report is asserted bit-identical across every
 //!   level (thread-count invariance at scale, not just in unit tests), and
@@ -18,17 +17,17 @@
 //!   exact (subsampled-to-cap) twin's.
 //!
 //! Results go to `BENCH_complexity.json` (the CI smoke runs — one at
-//! `RLB_THREADS=1`, one at `=4` — assert the file carries
-//! `"identical": true`, the scaling curve, and the threads metadata).
+//! `RLB_THREADS=1`, one at `=4` — assert the file carries the scaling curve
+//! with `"report_identical": true`, and the threads metadata). The identity
+//! against the materialized-matrix reference runs in `cargo test`
+//! (`rlb-complexity`'s unit tests, at this bench's former scales).
 //!
 //! Smoke knobs: `RLB_BENCH_SAMPLES` / `RLB_BENCH_WARMUP` (harness),
 //! `RLB_BENCH_POINTS` (thread-sweep scale, default 20000),
 //! `RLB_BENCH_ESTIMATOR_POINTS` (estimator scale, default 100000).
 
 use rlb_bench::timing::{group, host_cores, threads_metadata, Harness};
-use rlb_complexity::{
-    compute, compute_ragged, estimator_bound, ComplexityConfig, ComplexityReport,
-};
+use rlb_complexity::{compute, estimator_bound, ComplexityConfig, ComplexityReport};
 use rlb_textsim::gower::DistanceEngine;
 use rlb_util::json::Value;
 use rlb_util::Prng;
@@ -80,16 +79,6 @@ fn env_points(name: &str, default: usize) -> usize {
         .and_then(|s| s.parse().ok())
         .filter(|&n| n > 0)
         .unwrap_or(default)
-}
-
-/// Asserts all 17 measures agree bit-for-bit between the twins.
-fn assert_identical(points: usize, cap: usize) {
-    let (xs, ys) = synthetic(points, 0.5, 0.25, 0xC0_FFEE ^ points as u64);
-    let cfg = cfg_with_cap(cap);
-    let streaming = compute(&xs, &ys, &cfg).expect("streaming compute");
-    let ragged = compute_ragged(&xs, &ys, &cfg).expect("ragged compute");
-    assert_reports_identical(&streaming, &ragged, &format!("{points} points (cap {cap})"));
-    println!("  {points:>5} points (cap {cap:>5}): all 17 measures bit-identical");
 }
 
 fn assert_reports_identical(a: &ComplexityReport, b: &ComplexityReport, what: &str) {
@@ -260,13 +249,6 @@ fn main() {
     rlb_obs::init();
     let mut h = Harness::new();
 
-    group("streaming vs ragged identity (all 17 measures, to_bits equality)");
-    // (points, cap): full-set runs plus a subsampled run; every scale is
-    // small enough for the ragged twin's O(n²) matrix to materialize.
-    for (points, cap) in [(400, 400), (1500, 1500), (5000, 1500)] {
-        assert_identical(points, cap);
-    }
-
     group("streaming throughput (old default cap 1500)");
     let scales = vec![bench_scale(&mut h, 1500)];
 
@@ -309,7 +291,6 @@ fn main() {
     // Top-level samples/threads metadata comes from the shared artifact
     // envelope; the scaling-curve entries keep their own per-level copy.
     let fields = vec![
-        ("identical".into(), Value::Bool(true)),
         ("scales".into(), Value::Arr(scales)),
         ("scaling_curve".into(), Value::Arr(curve)),
         ("recorded_baseline".into(), Value::Obj(baseline_fields)),

@@ -4,12 +4,13 @@
 
 use rlb_bench::cache::with_cache;
 use rlb_bench::fmt::{percent, ratio, render_table};
-use rlb_bench::runner::{new_benchmarks, NewBenchmarkSummary};
+use rlb_bench::runner::{new_benchmark_inputs, new_benchmarks, NewBenchmarkSummary};
 
 fn main() {
-    let summaries: Vec<NewBenchmarkSummary> = with_cache("table5-summaries", || {
-        new_benchmarks().into_iter().map(|(s, _)| s).collect()
-    });
+    let summaries: Vec<NewBenchmarkSummary> =
+        with_cache("table5-summaries", &new_benchmark_inputs(), || {
+            new_benchmarks().into_iter().map(|(s, _)| s).collect()
+        });
     let header: Vec<String> = [
         "D", "D1", "D2", "|D1|", "|D2|", "|M|", "|A|", "PC", "PQ", "|C|", "|P|", "attr", "cl.",
         "K", "ind.", "|Itr|", "|Ite|", "|Ptr|", "|Pte|", "IR",

@@ -8,15 +8,18 @@
 
 use rlb_bench::cache::with_cache;
 use rlb_bench::fmt::{percent, ratio, render_table};
-use rlb_bench::runner::{established_tasks, new_benchmarks, NewBenchmarkSummary};
+use rlb_bench::runner::{
+    established_tasks, new_benchmark_inputs, new_benchmarks, NewBenchmarkSummary,
+};
 use rlb_synth::established_profiles;
 
 fn main() {
     let established = established_tasks();
     let profiles = established_profiles();
-    let summaries: Vec<NewBenchmarkSummary> = with_cache("table5-summaries", || {
-        new_benchmarks().into_iter().map(|(s, _)| s).collect()
-    });
+    let summaries: Vec<NewBenchmarkSummary> =
+        with_cache("table5-summaries", &new_benchmark_inputs(), || {
+            new_benchmarks().into_iter().map(|(s, _)| s).collect()
+        });
 
     // The paper's pairings: same raw origin.
     let pairings = [

@@ -85,7 +85,18 @@ rlb_util::impl_json!(NewBenchmarkSummary {
 /// and cached (the grid search over a 64-neighbour retrieval per
 /// configuration is the expensive step; the labelled tasks serialize fine).
 pub fn new_benchmarks() -> Vec<(NewBenchmarkSummary, MatchingTask)> {
-    with_cache("new-benchmarks", build_new_benchmarks)
+    with_cache(
+        "new-benchmarks",
+        &new_benchmark_inputs(),
+        build_new_benchmarks,
+    )
+}
+
+/// The inputs the new benchmarks are built from — the raw-pair profiles and
+/// the tuner configuration — as the cache's input description for every
+/// artifact derived from them.
+pub fn new_benchmark_inputs() -> String {
+    format!("{:?} {:?}", raw_pair_profiles(), TunerConfig::default())
 }
 
 fn build_new_benchmarks() -> Vec<(NewBenchmarkSummary, MatchingTask)> {
@@ -129,10 +140,16 @@ pub fn new_tasks() -> Vec<MatchingTask> {
 }
 
 /// Runs (or loads) the full matcher roster for one task; cached by
-/// `{group}-{name}`.
+/// `{group}-{name}`, and invalidated when the task or the roster
+/// configuration changes.
 pub fn roster_for(group: &str, task: &MatchingTask) -> Vec<MatcherRun> {
     let key = format!("roster-{group}-{}", task.name);
-    with_cache(&key, || {
+    let inputs = format!(
+        "{} {:?}",
+        rlb_util::json::to_string(task),
+        RosterConfig::default()
+    );
+    with_cache(&key, &inputs, || {
         rlb_obs::info!(
             "[sweep] running 23 matcher configurations on {} …",
             task.name

@@ -1,13 +1,13 @@
 //! Flat columnar vector storage and the single cosine ranking kernel.
 //!
-//! Every nearest-neighbour path in this crate — the exact serial twin, the
-//! parallel exact scan, and the IVF probed scan — stores vectors in a
-//! [`VecArena`] (one contiguous `f32` buffer, one precomputed L2 norm per
-//! vector) and scores candidates through [`cosine_score`] in ascending-id
-//! order. Sharing the storage and the float-op sequence is what makes the
-//! twin guarantees *bitwise*: any two paths that visit the same ids in the
-//! same order produce identical rankings, whatever structure proposed the
-//! ids.
+//! Every nearest-neighbour path in this crate — [`rank_all`] for one query,
+//! the parallel exact scan over many, and the IVF probed scan — stores
+//! vectors in a [`VecArena`] (one contiguous `f32` buffer, one precomputed
+//! L2 norm per vector) and scores candidates through [`cosine_score`] in
+//! ascending-id order. Sharing the storage and the float-op sequence is
+//! what makes the twin guarantees *bitwise*: any two paths that visit the
+//! same ids in the same order produce identical rankings, whatever
+//! structure proposed the ids.
 //!
 //! **Zero-norm policy.** Records with no text (or no q-grams) embed to the
 //! zero vector, whose cosine against anything is undefined. The kernel maps

@@ -1,6 +1,6 @@
 //! Text cleaning for blocking: stop-word removal and light stemming.
 //!
-//! DeepBlocker's `cl.` hyperparameter (Table V): "if [cleaning] is used,
+//! DeepBlocker's `cl.` hyperparameter (Table V): "if \[cleaning\] is used,
 //! stop-words are removed and stemming is applied to all words".
 
 use rlb_textsim::tfidf::STOPWORDS;

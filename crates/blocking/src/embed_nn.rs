@@ -240,17 +240,10 @@ impl EmbeddingNnBlocker {
 /// parallel over queries — the single scoring kernel shared by the batch
 /// [`EmbeddingNnBlocker::retrieve`] and the incremental [`NnIndex`]. Element
 /// `q` of the output is a pure function of query `q` alone, so the result is
-/// bitwise identical to [`rank_queries_serial`] at any thread count.
+/// bitwise identical to ranking the queries one by one with [`rank_all`] at
+/// any thread count.
 pub fn rank_queries(index: &VecArena, queries: &VecArena, k_max: usize) -> Vec<Vec<u32>> {
     rlb_util::par::par_map_range(queries.len(), |qi| rank_all(index, queries.get(qi), k_max))
-}
-
-/// Serial twin of [`rank_queries`], kept for the bench baseline and the
-/// parallel-equivalence assertions.
-pub fn rank_queries_serial(index: &VecArena, queries: &VecArena, k_max: usize) -> Vec<Vec<u32>> {
-    (0..queries.len())
-        .map(|qi| rank_all(index, queries.get(qi), k_max))
-        .collect()
 }
 
 /// An incrementally insertable embedding index over one source.
@@ -528,12 +521,36 @@ mod tests {
 
     #[test]
     fn parallel_rank_matches_serial_twin() {
-        let (l, r) = sources();
+        // 96 queries: above `par_map_range`'s sequential cutoff (32 items),
+        // so any host with two or more cores takes the parallel path.
+        const QUERIES: usize = 96;
+        let words = [
+            "acme", "zenbrook", "kordia", "widget", "speaker", "laptop", "pro", "ultra", "fast",
+        ];
+        let text = |i: usize| {
+            format!(
+                "{} {} {} model{}",
+                words[i % 9],
+                words[(i / 9) % 9],
+                words[(i * 7) % 9],
+                i % 13
+            )
+        };
+        let mut left = Source::new("L", vec!["name".into()]);
+        let mut right = Source::new("R", vec!["name".into()]);
+        for i in 0..QUERIES {
+            left.push(vec![text(i)]);
+        }
+        for i in 0..150 {
+            right.push(vec![text(5 * i + 3)]);
+        }
         let blocker = EmbeddingNnBlocker::default();
-        let (index, queries) = blocker.embed_arenas(&l, &r, IndexSide::Right);
-        let par = rank_queries(&index, &queries, 4);
-        let ser = rank_queries_serial(&index, &queries, 4);
-        assert_eq!(par, ser);
+        let (index, queries) = blocker.embed_arenas(&left, &right, IndexSide::Right);
+        assert_eq!(queries.len(), QUERIES);
+        let serial: Vec<Vec<u32>> = (0..queries.len())
+            .map(|q| rank_all(&index, queries.get(q), 4))
+            .collect();
+        assert_eq!(rank_queries(&index, &queries, 4), serial);
     }
 
     #[test]

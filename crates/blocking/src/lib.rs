@@ -30,9 +30,7 @@ pub mod token;
 pub mod tuner;
 
 pub use arena::{VecArena, ZERO_NORM_SCORE};
-pub use embed_nn::{
-    rank_queries, rank_queries_serial, EmbeddingNnBlocker, IndexSide, NnIndex, Retrieval,
-};
+pub use embed_nn::{rank_queries, EmbeddingNnBlocker, IndexSide, NnIndex, Retrieval};
 pub use ivf::{IvfIndex, IvfParams};
 pub use metrics::{blocking_metrics, BlockingMetrics};
 pub use token::{QGramBlocker, TokenBlocker};

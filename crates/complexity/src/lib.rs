@@ -27,7 +27,7 @@ mod linearity;
 mod neighborhood;
 mod network;
 
-use rlb_textsim::gower::{DistanceEngine, GowerSpace};
+use rlb_textsim::gower::DistanceEngine;
 use rlb_util::{Error, Prng, Result};
 
 /// Configuration for the complexity computation.
@@ -204,9 +204,9 @@ impl ComplexityReport {
     }
 }
 
-/// Validates the input contract shared by [`compute`] and
-/// [`compute_ragged`]: at least 4 points, matching label length, a
-/// rectangular non-empty feature matrix, and both classes present.
+/// Validates the input contract of [`compute`] (and of the tests' ragged
+/// reference): at least 4 points, matching label length, a rectangular
+/// non-empty feature matrix, and both classes present.
 fn validate<R: AsRef<[f64]>>(features: &[R], labels: &[bool]) -> Result<usize> {
     if features.len() < 4 {
         return Err(Error::EmptyInput("complexity needs at least 4 points"));
@@ -232,8 +232,9 @@ fn validate<R: AsRef<[f64]>>(features: &[R], labels: &[bool]) -> Result<usize> {
     Ok(dim)
 }
 
-/// The distance-free measure groups both twins share: class balance on the
-/// *full* label set, then feature and linearity measures on the subsample.
+/// The distance-free measure groups [`compute`] shares with the tests'
+/// ragged reference: class balance on the *full* label set, then feature
+/// and linearity measures on the subsample.
 #[allow(clippy::type_complexity)]
 fn shared_measures<R: AsRef<[f64]> + Clone>(
     features: &[R],
@@ -287,8 +288,8 @@ fn assemble(
 /// row type (`Vec<f64>`, `[f64; 2]`, …). Distance-based measure groups
 /// stream Gower rows out of a [`DistanceEngine`] tile by tile, so peak
 /// distance memory is O(threads × n) instead of the O(n²) a materialized
-/// matrix costs; [`compute_ragged`] is the materialized twin and produces
-/// byte-identical output.
+/// matrix costs. The tests check every measure bit for bit against a
+/// reference over the materialized matrix.
 pub fn compute<R: AsRef<[f64]> + Sync + Clone>(
     features: &[R],
     labels: &[bool],
@@ -308,11 +309,12 @@ pub fn compute<R: AsRef<[f64]> + Sync + Clone>(
     Ok(assemble(c, f, l, nb, net))
 }
 
-/// The materialized O(n²)-memory twin of [`compute`]: builds the full
+/// The materialized O(n²)-memory reference for [`compute`]: builds the full
 /// ragged Gower distance matrix up front and hands it to the `*_ragged`
-/// measure implementations. Kept as the reference path for the byte-identity
-/// property suite and benchmarks; prefer [`compute`] everywhere else.
-pub fn compute_ragged<R: AsRef<[f64]> + Sync + Clone>(
+/// measure implementations, which the streaming kernels must match bit for
+/// bit.
+#[cfg(test)]
+fn compute_ragged<R: AsRef<[f64]> + Sync + Clone>(
     features: &[R],
     labels: &[bool],
     cfg: &ComplexityConfig,
@@ -328,8 +330,8 @@ pub fn compute_ragged<R: AsRef<[f64]> + Sync + Clone>(
     let (xs, ys, c, f, l) = shared_measures(features, labels, cfg);
     let (xs, ys) = estimator_take(xs, ys, cfg);
 
-    let gower = GowerSpace::fit(&xs).expect("non-empty");
-    let dists = gower.pairwise(&xs);
+    let gower = rlb_textsim::gower::GowerSpace::fit(&xs).expect("non-empty");
+    let dists = testdata::pairwise(&gower, &xs);
     let mut rng = Prng::seed_from_u64(cfg.seed ^ 0x4E4);
     let nb = neighborhood::neighborhood_measures_ragged(
         &xs,
@@ -361,9 +363,10 @@ pub fn compute_cs_js(
 /// class-stratified landmark subsample of `cfg.estimator_sample` points,
 /// drawn with a seed derived from `cfg.seed` so the run is deterministic
 /// and — because this happens in shared code on the identical working set —
-/// the streaming and ragged twins still agree bit for bit. Records the
-/// sample size and declared bound ([`estimator_bound`]) through `rlb-obs`
-/// counters (`complexity.estimator.sample`, `complexity.estimator.bound_ppm`).
+/// the streaming kernels and the tests' ragged reference still agree bit for
+/// bit. Records the sample size and declared bound ([`estimator_bound`])
+/// through `rlb-obs` counters (`complexity.estimator.sample`,
+/// `complexity.estimator.bound_ppm`).
 /// A no-op when estimator mode is off or the working set already fits.
 fn estimator_take<R: Clone>(
     xs: Vec<R>,
@@ -429,7 +432,26 @@ fn stratified_subsample<R: Clone>(
 
 #[cfg(test)]
 pub(crate) mod testdata {
+    use rlb_textsim::gower::GowerSpace;
     use rlb_util::Prng;
+
+    /// Full Gower distance matrix, one [`GowerSpace::distance`] per entry
+    /// and a zero diagonal: the materialized input of the ragged reference.
+    pub fn pairwise<R: AsRef<[f64]>>(space: &GowerSpace, xs: &[R]) -> Vec<Vec<f64>> {
+        (0..xs.len())
+            .map(|i| {
+                (0..xs.len())
+                    .map(|j| {
+                        if i == j {
+                            0.0
+                        } else {
+                            space.distance(xs[i].as_ref(), xs[j].as_ref())
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
 
     /// Similarity-style 2-D data: positives clustered high, negatives low,
     /// with controllable overlap.
@@ -533,6 +555,117 @@ mod tests {
             for ((name, va), (_, vb)) in a.values().iter().zip(b.values()) {
                 assert_eq!(va.to_bits(), vb.to_bits(), "{name}: {va} vs {vb}");
             }
+        }
+    }
+
+    /// Random dense feature matrix with both classes guaranteed present.
+    fn random_classification(rng: &mut Prng, n: usize, dim: usize) -> (Vec<Vec<f64>>, Vec<bool>) {
+        let xs: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..dim).map(|_| rng.f64()).collect())
+            .collect();
+        let mut ys: Vec<bool> = (0..n).map(|_| rng.chance(0.4)).collect();
+        ys[0] = true;
+        ys[1] = false;
+        (xs, ys)
+    }
+
+    fn assert_reports_bit_identical(
+        xs: &[Vec<f64>],
+        ys: &[bool],
+        cfg: &ComplexityConfig,
+        case: &str,
+    ) {
+        let streaming = compute(xs, ys, cfg).expect("streaming compute");
+        let ragged = compute_ragged(xs, ys, cfg).expect("ragged compute");
+        for ((name, s), (_, r)) in streaming.values().iter().zip(ragged.values()) {
+            assert_eq!(
+                s.to_bits(),
+                r.to_bits(),
+                "case {case}: {name} diverged ({s} vs {r})"
+            );
+        }
+    }
+
+    #[test]
+    fn complexity_streaming_matches_ragged_bitwise() {
+        // The streaming DistanceEngine tiling must be invisible: every one of
+        // the 17 measures agrees with the materialized-matrix twin bit for bit,
+        // across random dimensionalities, sizes, and subsample caps.
+        let mut rng = Prng::seed_from_u64(0x51_0E);
+        for case in 0..24 {
+            let n = rng.range(4, 121);
+            let dim = rng.range(1, 5);
+            let (xs, ys) = random_classification(&mut rng, n, dim);
+            // Half the cases force the stratified subsample path.
+            let cap = if rng.chance(0.5) {
+                n
+            } else {
+                rng.range(4, n + 1)
+            };
+            let cfg = ComplexityConfig {
+                max_points: cap,
+                seed: rng.next_u64(),
+                ..Default::default()
+            };
+            assert_reports_bit_identical(
+                &xs,
+                &ys,
+                &cfg,
+                &format!("{case} (n={n}, dim={dim}, cap={cap})"),
+            );
+        }
+    }
+
+    #[test]
+    fn complexity_streaming_matches_ragged_on_degenerate_edges() {
+        let cfg = ComplexityConfig::default();
+
+        // Minimal size: exactly 4 points.
+        let xs = vec![
+            vec![0.1, 0.9],
+            vec![0.2, 0.8],
+            vec![0.9, 0.1],
+            vec![0.8, 0.2],
+        ];
+        let ys = vec![true, true, false, false];
+        assert_reports_bit_identical(&xs, &ys, &cfg, "n=4 minimal");
+
+        // All rows identical: every Gower range is zero, all distances are 0.
+        let xs = vec![vec![0.5, 0.5]; 6];
+        let ys = vec![true, false, true, false, true, false];
+        assert_reports_bit_identical(&xs, &ys, &cfg, "all-identical rows");
+
+        // One class has a single member (n2's infinite-intra edge).
+        let mut rng = Prng::seed_from_u64(0x51_0F);
+        let (xs, mut ys) = random_classification(&mut rng, 12, 2);
+        for y in ys.iter_mut() {
+            *y = false;
+        }
+        ys[3] = true;
+        assert_reports_bit_identical(&xs, &ys, &cfg, "single-member class");
+
+        // A constant feature column among varying ones (zero Gower range dim).
+        let mut xs: Vec<Vec<f64>> = Vec::new();
+        for _ in 0..10 {
+            xs.push(vec![rng.f64(), 0.7, rng.f64()]);
+        }
+        let mut ys: Vec<bool> = (0..10).map(|i| i % 3 == 0).collect();
+        ys[0] = true;
+        ys[1] = false;
+        assert_reports_bit_identical(&xs, &ys, &cfg, "constant feature column");
+    }
+
+    #[test]
+    fn streaming_matches_ragged_at_bench_scales() {
+        // (points, cap): full-set runs plus a subsampled run, at the scales
+        // the complexity bench timed the two paths at.
+        for (points, cap) in [(400, 400), (1500, 1500), (5000, 1500)] {
+            let (xs, ys) = separated(points, 0.5, 0.25, 0xC0_FFEE ^ points as u64);
+            let cfg = ComplexityConfig {
+                max_points: cap,
+                ..Default::default()
+            };
+            assert_reports_bit_identical(&xs, &ys, &cfg, &format!("{points} points (cap {cap})"));
         }
     }
 

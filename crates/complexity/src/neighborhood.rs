@@ -1,15 +1,15 @@
 //! Neighborhood measures `n1`, `n2`, `n3`, `n4`, `t1`, `lsc` over the Gower
 //! distance (Table I, group c).
 //!
-//! Two entry points share every per-row formula:
-//!
-//! - [`neighborhood_measures`] streams distance rows out of a
-//!   [`DistanceEngine`] — O(n) peak memory, the default;
-//! - [`neighborhood_measures_ragged`] scans a materialized `Vec<Vec<f64>>`
-//!   matrix — the O(n²) twin, kept (like `TokenSet` next to `IdSet`) so the
-//!   property suite can assert the streaming path bit-for-bit.
+//! [`neighborhood_measures`] streams distance rows out of a
+//! [`DistanceEngine`] — O(n) peak memory. Its per-row formulas are shared
+//! with a `#[cfg(test)]` ragged reference that scans a materialized O(n²)
+//! `Vec<Vec<f64>>` matrix, so the tests can assert the streaming path
+//! bit-for-bit.
 
-use rlb_textsim::gower::{DistanceEngine, GowerSpace};
+use rlb_textsim::gower::DistanceEngine;
+#[cfg(test)]
+use rlb_textsim::gower::GowerSpace;
 use rlb_util::Prng;
 
 /// Results of the neighborhood group.
@@ -170,7 +170,8 @@ pub fn neighborhood_measures(
 }
 
 /// Computes the whole group from a precomputed pairwise distance matrix —
-/// the O(n²)-memory ragged twin of [`neighborhood_measures`].
+/// the O(n²)-memory ragged reference for [`neighborhood_measures`].
+#[cfg(test)]
 pub fn neighborhood_measures_ragged<R: AsRef<[f64]> + Sync>(
     xs: &[R],
     ys: &[bool],
@@ -256,7 +257,8 @@ fn n1_mst(ys: &[bool], engine: &DistanceEngine) -> f64 {
     n1_prim(ys, |i, buf| engine.row_into(i, buf))
 }
 
-/// Ragged `n1` twin over the materialized matrix.
+/// Ragged `n1` reference over the materialized matrix.
+#[cfg(test)]
 fn n1_mst_ragged(ys: &[bool], dists: &[Vec<f64>]) -> f64 {
     n1_prim(ys, |i, buf| buf.copy_from_slice(&dists[i]))
 }
@@ -320,7 +322,7 @@ fn n4_interpolated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testdata::separated;
+    use crate::testdata::{pairwise, separated};
 
     fn both(
         xs: &[Vec<f64>],
@@ -332,7 +334,7 @@ mod tests {
         let mut rng = Prng::seed_from_u64(seed);
         let streaming = neighborhood_measures(ys, &engine, ratio, &mut rng);
         let gower = GowerSpace::fit(xs).unwrap();
-        let dists = gower.pairwise(xs);
+        let dists = pairwise(&gower, xs);
         let mut rng = Prng::seed_from_u64(seed);
         let ragged = neighborhood_measures_ragged(xs, ys, &dists, &gower, ratio, &mut rng);
         (streaming, ragged)
@@ -392,7 +394,7 @@ mod tests {
         let xs = vec![vec![0.0], vec![0.1], vec![0.6], vec![0.7]];
         let engine = DistanceEngine::fit(&xs).unwrap();
         assert!((n1_mst(&ys, &engine) - 0.5).abs() < 1e-12);
-        let dists = engine.space().pairwise(&xs);
+        let dists = pairwise(engine.space(), &xs);
         assert!((n1_mst_ragged(&ys, &dists) - 0.5).abs() < 1e-12);
     }
 

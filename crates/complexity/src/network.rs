@@ -11,11 +11,12 @@
 //! order for the hub power iteration, one in cluster-sorted order for
 //! triangle counting — dense ε-graphs at the 20 000-point default cap have
 //! average degree in the thousands, where per-edge neighbour-list
-//! intersection is intractable); [`network_measures_ragged`] is the
-//! materialized O(n²)-distance, adjacency-list twin. Both count the
-//! identical integer edge/triangle quantities and add the same f64 values in
-//! the same order (hub's block kernel adds exact `+0.0`s in between, see
-//! [`hub_block`]), so every value is byte-identical.
+//! intersection is intractable). Its `#[cfg(test)]` ragged reference below
+//! is a materialized O(n²)-distance, adjacency-list reading of the same
+//! measures. Both count the identical integer edge/triangle quantities and
+//! add the same f64 values in the same order (hub's block kernel adds exact
+//! `+0.0`s in between, see [`hub_block`]), so every value is
+//! byte-identical.
 //!
 //! The cluster-sorted relabeling exploits ε-graph geometry: Gower distance
 //! `< ε` bounds every per-dimension normalized difference by `ε · dims`, so
@@ -311,7 +312,8 @@ fn iter_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 }
 
 /// Computes `(den, cls, hub)` from a materialized distance matrix — the
-/// O(n²)-memory ragged twin of [`network_measures`].
+/// O(n²)-memory ragged reference for [`network_measures`].
+#[cfg(test)]
 pub fn network_measures_ragged(ys: &[bool], dists: &[Vec<f64>], epsilon: f64) -> (f64, f64, f64) {
     let n = ys.len();
     // Ascending outer/inner loops keep every adjacency list sorted, which
@@ -396,6 +398,7 @@ fn hub_from_scores(v: &[f64], n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdata::pairwise;
     use rlb_textsim::gower::GowerSpace;
 
     /// Runs both layouts and asserts bit-identity before returning the
@@ -404,7 +407,7 @@ mod tests {
         let engine = DistanceEngine::fit(xs).unwrap();
         let streaming = network_measures(ys, &engine, eps);
         let g = GowerSpace::fit(xs).unwrap();
-        let d = g.pairwise(xs);
+        let d = pairwise(&g, xs);
         let ragged = network_measures_ragged(ys, &d, eps);
         assert_eq!(streaming.0.to_bits(), ragged.0.to_bits(), "den");
         assert_eq!(streaming.1.to_bits(), ragged.1.to_bits(), "cls");

@@ -32,8 +32,7 @@ pub mod roster;
 pub use assessment::{assess, assess_from_scores, assess_with, Assessment, EasyFlags};
 pub use builder::{build_benchmark, BuiltBenchmark};
 pub use linearity::{
-    degree_of_linearity, degree_of_linearity_from_scores, degree_of_linearity_sequential,
-    degree_of_linearity_string, degree_of_linearity_with, LinearityReport,
+    degree_of_linearity, degree_of_linearity_from_scores, degree_of_linearity_with, LinearityReport,
 };
 pub use practical::{practical_measures, MatcherFamily, MatcherRun, PracticalMeasures};
 pub use roster::{full_roster, full_roster_cached, run_roster, RosterConfig};

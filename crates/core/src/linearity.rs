@@ -7,7 +7,7 @@
 
 use rlb_data::MatchingTask;
 use rlb_matchers::esde::sweep_threshold;
-use rlb_matchers::features::{StringTaskViews, TaskViewCache};
+use rlb_matchers::features::TaskViewCache;
 
 /// Output of Algorithm 1 for both similarity measures.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,9 +45,8 @@ impl LinearityReport {
 /// [`degree_of_linearity_with`] instead.
 ///
 /// The per-pair CS/JS scoring — the dominant cost on large candidate sets —
-/// runs on all cores via [`rlb_util::par`]; the output is byte-identical to
-/// [`degree_of_linearity_sequential`] because pair order is preserved and
-/// each pair's score is computed exactly the same way.
+/// runs on all cores via [`rlb_util::par`], which preserves pair order, so
+/// the report does not depend on the thread count.
 pub fn degree_of_linearity(task: &MatchingTask) -> LinearityReport {
     degree_of_linearity_with(task, &TaskViewCache::build(task))
 }
@@ -58,27 +57,6 @@ pub fn degree_of_linearity_with(task: &MatchingTask, views: &TaskViewCache) -> L
     let _span = rlb_obs::span!("linearity.sweep", "{}", task.name);
     let pairs: Vec<rlb_data::LabeledPair> = task.all_pairs().copied().collect();
     rlb_obs::counter_add("linearity.pairs", pairs.len() as u64);
-    let scores = rlb_util::par::par_map(&pairs, |lp| views.cs_js(lp.pair));
-    report_from_scores(&pairs, &scores)
-}
-
-/// Single-threaded Algorithm 1 — the baseline the in-tree timing harness
-/// compares [`degree_of_linearity`] against. Produces byte-identical output.
-pub fn degree_of_linearity_sequential(task: &MatchingTask) -> LinearityReport {
-    let views = TaskViewCache::build(task);
-    let pairs: Vec<rlb_data::LabeledPair> = task.all_pairs().copied().collect();
-    let scores: Vec<[f64; 2]> = pairs.iter().map(|lp| views.cs_js(lp.pair)).collect();
-    report_from_scores(&pairs, &scores)
-}
-
-/// Algorithm 1 over heap-allocated [`rlb_textsim::TokenSet`]s — the string
-/// reference twin of [`degree_of_linearity`], kept for byte-identity
-/// assertions and as the baseline side of the interned-vs-string timing
-/// bench. Rebuilds its views on every call, exactly as the pipeline did
-/// before interning.
-pub fn degree_of_linearity_string(task: &MatchingTask) -> LinearityReport {
-    let views = StringTaskViews::build(task);
-    let pairs: Vec<rlb_data::LabeledPair> = task.all_pairs().copied().collect();
     let scores = rlb_util::par::par_map(&pairs, |lp| views.cs_js(lp.pair));
     report_from_scores(&pairs, &scores)
 }
@@ -225,12 +203,29 @@ mod tests {
         assert_eq!(degree_of_linearity(&t), degree_of_linearity(&t));
     }
 
+    /// Algorithm 1 over `String` token sets: each record's
+    /// [`Record::token_set`](rlb_data::Record::token_set) scored with
+    /// [`rlb_textsim::sets`], the reference the interned views must match.
+    fn string_reference(t: &MatchingTask) -> LinearityReport {
+        use rlb_textsim::sets::{cosine, jaccard};
+        let pairs: Vec<rlb_data::LabeledPair> = t.all_pairs().copied().collect();
+        let scores: Vec<[f64; 2]> = pairs
+            .iter()
+            .map(|lp| {
+                let (l, r) = t.records(lp.pair);
+                let (a, b) = (l.token_set(), r.token_set());
+                [cosine(&a, &b), jaccard(&a, &b)]
+            })
+            .collect();
+        degree_of_linearity_from_scores(&pairs, &scores)
+    }
+
     #[test]
     fn interned_report_equals_string_reference_bitwise() {
         for seed in [8, 9] {
             let t = task(0.35, 0.4, seed);
             let interned = degree_of_linearity(&t);
-            let string = degree_of_linearity_string(&t);
+            let string = string_reference(&t);
             let cached = degree_of_linearity_with(&t, &TaskViewCache::build(&t));
             for (a, b) in [(interned, string), (interned, cached)] {
                 assert_eq!(a.f1_cosine.to_bits(), b.f1_cosine.to_bits());

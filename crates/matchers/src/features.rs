@@ -6,9 +6,9 @@
 //! dictionary-interned as [`IdSet`]s — integer merge joins instead of
 //! `String` comparisons — and [`TaskViewCache`] shares one build across
 //! every consumer so tokenization happens exactly once per record per
-//! pipeline run. [`StringTaskViews`] is the byte-identical reference twin
-//! kept for verification (same policy as the parallel/sequential twin pair
-//! in `rlb-core::linearity`).
+//! pipeline run. The `String` token sets ([`TokenSet`], scored by
+//! [`rlb_textsim::sets`]) stay the reference: this module's tests rebuild
+//! them per record and check every interned score against them bit for bit.
 
 use rlb_data::{MatchingTask, PairRef, Record};
 use rlb_textsim::{intern, sets, IdSet, ShardedInterner, TokenInterner, TokenSet};
@@ -346,90 +346,6 @@ impl std::ops::Deref for TaskViewCache {
     }
 }
 
-/// String-based per-record views — the reference twin of [`RecordViews`].
-#[derive(Debug, Clone)]
-pub struct StringRecordViews {
-    /// Schema-agnostic token set over all attributes.
-    pub full: Vec<TokenSet>,
-    /// Token set per attribute.
-    pub per_attr: Vec<Vec<TokenSet>>,
-}
-
-impl StringRecordViews {
-    /// Builds the views for every record of a source (in parallel; record
-    /// order is preserved).
-    pub fn build(records: &[Record], arity: usize) -> Self {
-        let mut full = Vec::with_capacity(records.len());
-        let mut per_attr = Vec::with_capacity(records.len());
-        let views = rlb_util::par::par_map(records, |r| {
-            let attrs: Vec<TokenSet> = (0..arity)
-                .map(|a| TokenSet::from_text(r.value(a)))
-                .collect();
-            (r.token_set(), attrs)
-        });
-        for (f, attrs) in views {
-            full.push(f);
-            per_attr.push(attrs);
-        }
-        StringRecordViews { full, per_attr }
-    }
-}
-
-/// String-based task views — the byte-identical reference twin of
-/// [`TaskViews`], kept for equality assertions and as the baseline side of
-/// the interned-vs-string timing bench. Not used by any hot path.
-#[derive(Debug, Clone)]
-pub struct StringTaskViews {
-    /// Left-source views.
-    pub left: StringRecordViews,
-    /// Right-source views.
-    pub right: StringRecordViews,
-    /// Shared attribute count.
-    pub arity: usize,
-}
-
-impl StringTaskViews {
-    /// Computes the string views for a task.
-    pub fn build(task: &MatchingTask) -> Self {
-        let arity = task.left.arity().max(task.right.arity());
-        StringTaskViews {
-            left: StringRecordViews::build(&task.left.records, arity),
-            right: StringRecordViews::build(&task.right.records, arity),
-            arity,
-        }
-    }
-
-    /// `[CS, JS]` via string comparison — must equal
-    /// [`TaskViews::cs_js`] bit-for-bit.
-    pub fn cs_js(&self, p: PairRef) -> [f64; 2] {
-        let a = &self.left.full[p.left as usize];
-        let b = &self.right.full[p.right as usize];
-        [sets::cosine(a, b), sets::jaccard(a, b)]
-    }
-
-    /// Schema-agnostic `[CS, DS, JS]` — string twin of
-    /// [`TaskViews::sa_features`].
-    pub fn sa_features(&self, p: PairRef) -> Vec<f64> {
-        let a = &self.left.full[p.left as usize];
-        let b = &self.right.full[p.right as usize];
-        vec![sets::cosine(a, b), sets::dice(a, b), sets::jaccard(a, b)]
-    }
-
-    /// Schema-based `[CS, DS, JS]` per attribute — string twin of
-    /// [`TaskViews::sb_features`].
-    pub fn sb_features(&self, p: PairRef) -> Vec<f64> {
-        let mut out = Vec::with_capacity(3 * self.arity);
-        for a in 0..self.arity {
-            let l = &self.left.per_attr[p.left as usize][a];
-            let r = &self.right.per_attr[p.right as usize][a];
-            out.push(sets::cosine(l, r));
-            out.push(sets::dice(l, r));
-            out.push(sets::jaccard(l, r));
-        }
-        out
-    }
-}
-
 /// Magellan-style feature vector for one pair: eight similarity functions
 /// per attribute (token cosine/jaccard, 3-gram jaccard, Jaro, Jaro-Winkler,
 /// Levenshtein, symmetric Monge-Elkan over Jaro-Winkler, exact match), with
@@ -499,23 +415,43 @@ mod tests {
         assert_eq!(v.cs_js(p), expected);
     }
 
+    /// `String` token sets of one record: the full record's, then one per
+    /// attribute — the reference the interned [`RecordViews`] must match.
+    fn string_views(r: &Record, arity: usize) -> (TokenSet, Vec<TokenSet>) {
+        let attrs = (0..arity)
+            .map(|a| TokenSet::from_text(r.value(a)))
+            .collect();
+        (r.token_set(), attrs)
+    }
+
     #[test]
     fn interned_views_equal_string_twin_bitwise() {
         let task = small(0.4, 7);
         let interned = TaskViews::build(&task);
-        let strings = StringTaskViews::build(&task);
+        let arity = interned.arity;
         for lp in task.all_pairs() {
             let p = lp.pair;
+            let (l, r) = task.records(p);
+            let (lf, la) = string_views(l, arity);
+            let (rf, ra) = string_views(r, arity);
             let [ic, ij] = interned.cs_js(p);
-            let [sc, sj] = strings.cs_js(p);
-            assert_eq!(ic.to_bits(), sc.to_bits());
-            assert_eq!(ij.to_bits(), sj.to_bits());
-            for (a, b) in interned
+            assert_eq!(ic.to_bits(), sets::cosine(&lf, &rf).to_bits());
+            assert_eq!(ij.to_bits(), sets::jaccard(&lf, &rf).to_bits());
+            let mut strings = vec![
+                sets::cosine(&lf, &rf),
+                sets::dice(&lf, &rf),
+                sets::jaccard(&lf, &rf),
+            ];
+            for (a, b) in la.iter().zip(&ra) {
+                strings.extend([sets::cosine(a, b), sets::dice(a, b), sets::jaccard(a, b)]);
+            }
+            let interned_feats: Vec<f64> = interned
                 .sa_features(p)
-                .iter()
-                .chain(interned.sb_features(p).iter())
-                .zip(strings.sa_features(p).iter().chain(&strings.sb_features(p)))
-            {
+                .into_iter()
+                .chain(interned.sb_features(p))
+                .collect();
+            assert_eq!(interned_feats.len(), strings.len());
+            for (a, b) in interned_feats.iter().zip(&strings) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }

@@ -28,7 +28,7 @@ pub mod taxonomy;
 pub mod zeroer;
 
 pub use esde::{Esde, EsdeVariant};
-pub use features::{StringTaskViews, TaskViewCache, TaskViews};
+pub use features::{TaskViewCache, TaskViews};
 pub use magellan::{Magellan, MagellanModel};
 pub use taxonomy::{taxonomy, TaxonomyRow};
 pub use zeroer::ZeroEr;

@@ -47,7 +47,7 @@ pub struct SpanRecord {
     pub name: &'static str,
     /// Optional free-form detail (task name, matcher name, …).
     pub detail: Option<String>,
-    /// Trace id current when the span opened (see [`crate::trace`]).
+    /// Trace id current when the span opened (see [`crate::current_trace`]).
     pub trace: Option<Arc<str>>,
     /// Thread the span ran on.
     pub thread: u64,

@@ -5,7 +5,7 @@
 //! share brand/venue/genre tokens and part of their naming material. Hard
 //! negative pairs are drawn inside a family, which is what gives the
 //! difficult benchmarks their near-duplicate non-matches (the "nearest
-//! neighbours [that] are harder to classify" of the paper's introduction).
+//! neighbours \[that\] are harder to classify" of the paper's introduction).
 
 use crate::vocab;
 use rlb_util::Prng;

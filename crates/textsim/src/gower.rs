@@ -69,15 +69,15 @@ impl GowerSpace {
         total / self.dims() as f64
     }
 
-    /// Full pairwise distance matrix (row-major, symmetric, zero diagonal).
+    /// Full pairwise distance matrix (row-major, symmetric, zero diagonal):
+    /// the materialized reference [`DistanceEngine`]'s rows are checked
+    /// against.
     ///
     /// Rows are computed in parallel. `distance` is exactly symmetric
     /// (`|a−b| == |b−a|` per dimension), so filling each row independently
     /// produces the same matrix as mirroring the upper triangle.
-    ///
-    /// O(n²) memory — this is the materialized twin of [`DistanceEngine`];
-    /// prefer the engine for anything larger than a few thousand points.
-    pub fn pairwise<R: AsRef<[f64]> + Sync>(&self, data: &[R]) -> Vec<Vec<f64>> {
+    #[cfg(test)]
+    fn pairwise<R: AsRef<[f64]> + Sync>(&self, data: &[R]) -> Vec<Vec<f64>> {
         let n = data.len();
         rlb_util::par::par_map_range(n, |i| {
             let mut row = vec![0.0; n];
@@ -97,13 +97,13 @@ impl GowerSpace {
 const CHUNK: usize = 8;
 
 /// Streaming tiled Gower-distance engine: O(n) memory instead of the O(n²)
-/// matrix [`GowerSpace::pairwise`] materializes.
+/// of a materialized pairwise distance matrix.
 ///
 /// The engine keeps the fitted points twice: row-major (`flat`, for
 /// [`point`](DistanceEngine::point) and scalar lookups) and column-major
 /// (`cols`, one contiguous `n`-length column per dimension). Distance rows
 /// are produced by a hand-rolled chunked kernel over the columnar layout:
-/// [`CHUNK`] independent point-pairs accumulate side by side, one dimension
+/// `CHUNK` (8) independent point-pairs accumulate side by side, one dimension
 /// at a time, so the inner loop autovectorizes (subtract / abs / divide /
 /// min / add over `CHUNK` lanes), with a scalar tail for the remainder.
 ///
@@ -112,10 +112,10 @@ const CHUNK: usize = 8;
 /// range) dimension in ascending order, `((a[d]−b[d]).abs() / range_d)
 /// .min(1.0)` added to that pair's private accumulator, then one division
 /// by `dims`. Batching pairs into lanes reorders nothing *within* a pair,
-/// so every row value is bit-for-bit identical to the corresponding
-/// `pairwise` matrix entry regardless of chunk width, stripe boundaries, or
-/// thread count — the invariant the property suite pins with `to_bits`
-/// twin assertions.
+/// so every row value is bit-for-bit identical to one
+/// [`GowerSpace::distance`] call regardless of chunk width, stripe
+/// boundaries, or thread count — the invariant this module's tests pin with
+/// `to_bits` assertions against a materialized distance matrix.
 ///
 /// Tiles run in parallel via [`rlb_util::par`]; each tile emits a
 /// `complexity.tile` span and bumps the `complexity.tiles` /
@@ -205,7 +205,7 @@ impl DistanceEngine {
     /// Columnar chunked kernel: fills `out[k] = d(q, point(j0 + k))` for a
     /// contiguous span of fitted points.
     ///
-    /// [`CHUNK`] pairs accumulate side by side over the column-major layout
+    /// `CHUNK` (8) pairs accumulate side by side over the column-major layout
     /// (the inner loop is `CHUNK` independent subtract/abs/divide/min/add
     /// lanes, which the optimizer vectorizes), then a scalar tail finishes
     /// the remainder. Per-pair FP op order is exactly
@@ -260,7 +260,7 @@ impl DistanceEngine {
     }
 
     /// Fills `out` with distance row `i` (`out[j] = d(i, j)`, zero
-    /// diagonal), bit-identical to row `i` of [`GowerSpace::pairwise`].
+    /// diagonal), bit-identical to [`GowerSpace::distance`] on each pair.
     pub fn row_into(&self, i: usize, out: &mut [f64]) {
         assert_eq!(out.len(), self.n, "row buffer length");
         self.query_span_into(self.point(i), 0, out);
@@ -268,7 +268,8 @@ impl DistanceEngine {
     }
 
     /// Streams every distance row through `f` and collects the results in
-    /// row order: the streaming equivalent of mapping over `pairwise` rows.
+    /// row order: the streaming equivalent of mapping over the rows of a
+    /// materialized distance matrix.
     ///
     /// Rows are produced tile by tile in parallel; each tile reuses a single
     /// flat row buffer, so the buffer passed to `f` is only valid for that
@@ -391,6 +392,34 @@ mod tests {
                 engine.row_into(i, &mut buf);
                 for (j, (got, want)) in buf.iter().zip(expected).enumerate() {
                     assert_eq!(got.to_bits(), want.to_bits(), "({i},{j})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn distance_engine_rows_match_pairwise_bitwise() {
+        // Engine-level twin identity down to n = 2, below compute()'s 4-point
+        // floor: each streamed row equals the corresponding materialized
+        // pairwise row bit for bit.
+        let mut rng = rlb_util::Prng::seed_from_u64(0x51_10);
+        for case in 0..32 {
+            let n = rng.range(2, 62);
+            let dim = rng.range(1, 5);
+            let xs: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..dim).map(|_| rng.f64()).collect())
+                .collect();
+            let engine = DistanceEngine::fit(&xs).unwrap();
+            let dists = GowerSpace::fit(&xs).unwrap().pairwise(&xs);
+            let rows: Vec<Vec<f64>> = engine.map_rows(|_, row| row.to_vec());
+            for (i, (sr, rr)) in rows.iter().zip(&dists).enumerate() {
+                assert_eq!(sr.len(), rr.len(), "case {case} row {i} length");
+                for (j, (a, b)) in sr.iter().zip(rr).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "case {case}: row {i} col {j} ({a} vs {b})"
+                    );
                 }
             }
         }

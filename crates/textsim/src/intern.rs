@@ -24,8 +24,8 @@
 //! *same floating-point expression on the same integers* as its
 //! [`crate::sets`] counterpart — the reports produced through either
 //! representation are bit-for-bit equal. `tests/invariants.rs` asserts this
-//! property over random multisets, and the `measures` timing bench asserts
-//! it on full pipeline reports.
+//! property over random multisets, and the `rlb-matchers` and `rlb-core`
+//! unit tests assert it on whole task views and linearity reports.
 
 use rlb_util::FxHashMap;
 use std::sync::RwLock;

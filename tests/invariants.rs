@@ -329,129 +329,3 @@ fn generated_tasks_always_validate() {
         assert_eq!(pos, 30, "seed {seed}");
     }
 }
-
-/// Random dense feature matrix with both classes guaranteed present.
-fn random_classification(rng: &mut Prng, n: usize, dim: usize) -> (Vec<Vec<f64>>, Vec<bool>) {
-    let xs: Vec<Vec<f64>> = (0..n)
-        .map(|_| (0..dim).map(|_| rng.f64()).collect())
-        .collect();
-    let mut ys: Vec<bool> = (0..n).map(|_| rng.chance(0.4)).collect();
-    ys[0] = true;
-    ys[1] = false;
-    (xs, ys)
-}
-
-fn assert_reports_bit_identical(
-    xs: &[Vec<f64>],
-    ys: &[bool],
-    cfg: &rlb_complexity::ComplexityConfig,
-    case: &str,
-) {
-    let streaming = rlb_complexity::compute(xs, ys, cfg).expect("streaming compute");
-    let ragged = rlb_complexity::compute_ragged(xs, ys, cfg).expect("ragged compute");
-    for ((name, s), (_, r)) in streaming.values().iter().zip(ragged.values()) {
-        assert_eq!(
-            s.to_bits(),
-            r.to_bits(),
-            "case {case}: {name} diverged ({s} vs {r})"
-        );
-    }
-}
-
-#[test]
-fn complexity_streaming_matches_ragged_bitwise() {
-    // The streaming DistanceEngine tiling must be invisible: every one of
-    // the 17 measures agrees with the materialized-matrix twin bit for bit,
-    // across random dimensionalities, sizes, and subsample caps.
-    let mut rng = Prng::seed_from_u64(0x51_0E);
-    for case in 0..24 {
-        let n = rng.range(4, 121);
-        let dim = rng.range(1, 5);
-        let (xs, ys) = random_classification(&mut rng, n, dim);
-        // Half the cases force the stratified subsample path.
-        let cap = if rng.chance(0.5) {
-            n
-        } else {
-            rng.range(4, n + 1)
-        };
-        let cfg = rlb_complexity::ComplexityConfig {
-            max_points: cap,
-            seed: rng.next_u64(),
-            ..Default::default()
-        };
-        assert_reports_bit_identical(
-            &xs,
-            &ys,
-            &cfg,
-            &format!("{case} (n={n}, dim={dim}, cap={cap})"),
-        );
-    }
-}
-
-#[test]
-fn complexity_streaming_matches_ragged_on_degenerate_edges() {
-    let cfg = rlb_complexity::ComplexityConfig::default();
-
-    // Minimal size: exactly 4 points.
-    let xs = vec![
-        vec![0.1, 0.9],
-        vec![0.2, 0.8],
-        vec![0.9, 0.1],
-        vec![0.8, 0.2],
-    ];
-    let ys = vec![true, true, false, false];
-    assert_reports_bit_identical(&xs, &ys, &cfg, "n=4 minimal");
-
-    // All rows identical: every Gower range is zero, all distances are 0.
-    let xs = vec![vec![0.5, 0.5]; 6];
-    let ys = vec![true, false, true, false, true, false];
-    assert_reports_bit_identical(&xs, &ys, &cfg, "all-identical rows");
-
-    // One class has a single member (n2's infinite-intra edge).
-    let mut rng = Prng::seed_from_u64(0x51_0F);
-    let (xs, mut ys) = random_classification(&mut rng, 12, 2);
-    for y in ys.iter_mut() {
-        *y = false;
-    }
-    ys[3] = true;
-    assert_reports_bit_identical(&xs, &ys, &cfg, "single-member class");
-
-    // A constant feature column among varying ones (zero Gower range dim).
-    let mut xs: Vec<Vec<f64>> = Vec::new();
-    for _ in 0..10 {
-        xs.push(vec![rng.f64(), 0.7, rng.f64()]);
-    }
-    let mut ys: Vec<bool> = (0..10).map(|i| i % 3 == 0).collect();
-    ys[0] = true;
-    ys[1] = false;
-    assert_reports_bit_identical(&xs, &ys, &cfg, "constant feature column");
-}
-
-#[test]
-fn distance_engine_rows_match_pairwise_bitwise() {
-    // Engine-level twin identity down to n = 2, below compute()'s 4-point
-    // floor: each streamed row equals the corresponding materialized
-    // pairwise row bit for bit.
-    use rlb_textsim::{DistanceEngine, GowerSpace};
-    let mut rng = Prng::seed_from_u64(0x51_10);
-    for case in 0..32 {
-        let n = rng.range(2, 62);
-        let dim = rng.range(1, 5);
-        let xs: Vec<Vec<f64>> = (0..n)
-            .map(|_| (0..dim).map(|_| rng.f64()).collect())
-            .collect();
-        let engine = DistanceEngine::fit(&xs).unwrap();
-        let dists = GowerSpace::fit(&xs).unwrap().pairwise(&xs);
-        let rows: Vec<Vec<f64>> = engine.map_rows(|_, row| row.to_vec());
-        for (i, (sr, rr)) in rows.iter().zip(&dists).enumerate() {
-            assert_eq!(sr.len(), rr.len(), "case {case} row {i} length");
-            for (j, (a, b)) in sr.iter().zip(rr).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "case {case}: row {i} col {j} ({a} vs {b})"
-                );
-            }
-        }
-    }
-}
