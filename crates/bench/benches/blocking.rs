@@ -20,9 +20,9 @@
 //! twin and recall fields.
 //!
 //! Knobs: `RLB_BENCH_BLOCKING_RECORDS` (default 1000000),
-//! `RLB_BENCH_BLOCKING_QUERIES` (default 200), `RLB_ANN_NLISTS` /
-//! `RLB_ANN_NPROBE` (index), `RLB_BENCH_SAMPLES` / `RLB_BENCH_WARMUP`
-//! (harness).
+//! `RLB_BENCH_BLOCKING_QUERIES` (default 200), `RLB_BENCH_SAMPLES` /
+//! `RLB_BENCH_WARMUP` (harness). The index runs at
+//! [`IvfParams::default`].
 
 use rlb_bench::timing::{
     group, host_cores, resolved_samples, resolved_warmup, threads_metadata, Harness,
@@ -369,7 +369,7 @@ fn main() {
     let records = env_count("RLB_BENCH_BLOCKING_RECORDS", 1_000_000);
     let queries = env_count("RLB_BENCH_BLOCKING_QUERIES", 200);
     let entities = (records / VARIANTS).max(1);
-    let params = IvfParams::from_env();
+    let params = IvfParams::default();
 
     group(&format!(
         "corpus: {records} records ({entities} entities x {VARIANTS} variants), \

@@ -78,13 +78,6 @@ pub struct Stats {
     pub samples: usize,
 }
 
-impl Stats {
-    /// `other` / `self` on medians: how many times faster `self` is.
-    pub fn speedup_over(&self, other: &Stats) -> f64 {
-        other.median.as_secs_f64() / self.median.as_secs_f64()
-    }
-}
-
 fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns < 1_000 {
@@ -191,23 +184,6 @@ mod tests {
         assert!(s.min <= s.median && s.median <= *[s.median, s.mean].iter().max().unwrap());
         assert!(s.min > Duration::ZERO);
         assert_eq!(h.results().len(), 1);
-    }
-
-    #[test]
-    fn speedup_is_ratio_of_medians() {
-        let fast = Stats {
-            name: "fast".into(),
-            min: Duration::from_millis(1),
-            median: Duration::from_millis(2),
-            mean: Duration::from_millis(2),
-            samples: 3,
-        };
-        let slow = Stats {
-            name: "slow".into(),
-            median: Duration::from_millis(8),
-            ..fast.clone()
-        };
-        assert!((fast.speedup_over(&slow) - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -64,7 +64,8 @@ impl VecArena {
     }
 
     /// Builds an arena from owned rows (all of length `dim`).
-    pub fn from_rows(dim: usize, rows: impl IntoIterator<Item = Vec<f32>>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_rows(dim: usize, rows: impl IntoIterator<Item = Vec<f32>>) -> Self {
         let mut arena = VecArena::new(dim);
         for row in rows {
             arena.push(&row);

@@ -209,7 +209,7 @@ impl EmbeddingNnBlocker {
     }
 
     /// Starts an empty incremental index with this configuration indexing
-    /// `side`, with ANN knobs from the environment (`RLB_ANN_*`). See
+    /// `side`, with the default ANN knobs ([`IvfParams::default`]). See
     /// [`NnIndex`] for the twin guarantee.
     ///
     /// # Panics
@@ -217,7 +217,7 @@ impl EmbeddingNnBlocker {
     /// sequenced across *all* records of a batch run, which has no
     /// order-independent incremental counterpart.
     pub fn index(&self, side: IndexSide) -> NnIndex {
-        self.index_with(side, IvfParams::from_env())
+        self.index_with(side, IvfParams::default())
     }
 
     /// [`Self::index`] with explicit ANN knobs.
@@ -266,11 +266,8 @@ pub fn rank_queries(index: &VecArena, queries: &VecArena, k_max: usize) -> Vec<V
 /// both. Asserted in tests, the service property suite, and the blocking
 /// bench.
 ///
-/// **Supersession.** [`NnIndex::supersede`] tombstones an indexed record:
-/// it vanishes from every query path at once (exact and probed rank through
-/// the same dead-aware kernel, so the twin guarantee continues to hold over
-/// the live records), and the IVF layer reclaims the stale list entry at
-/// its next re-train — see [`crate::ivf`].
+/// The index only grows: the resident engine's record store is append-only,
+/// so no indexed record is ever removed.
 #[derive(Debug, Clone)]
 pub struct NnIndex {
     config: EmbeddingNnBlocker,
@@ -281,11 +278,6 @@ pub struct NnIndex {
 }
 
 impl NnIndex {
-    /// Which source this index holds.
-    pub fn side(&self) -> IndexSide {
-        self.side
-    }
-
     /// Number of indexed records.
     pub fn len(&self) -> usize {
         self.arena.len()
@@ -319,42 +311,6 @@ impl NnIndex {
         }
     }
 
-    /// Marks an indexed record as superseded: it stops appearing in every
-    /// query and retrieval from now on, and the IVF layer drops its stale
-    /// list entry at the next re-train.
-    ///
-    /// # Panics
-    /// If `id` was never returned by [`Self::insert`].
-    pub fn supersede(&mut self, id: u32) {
-        assert!(
-            (id as usize) < self.arena.len(),
-            "supersede of unknown id {id} (len {})",
-            self.arena.len()
-        );
-        self.ivf.tombstone(id);
-    }
-
-    /// Indexed records that have not been superseded.
-    pub fn live(&self) -> usize {
-        self.arena.len() - self.ivf.dead()
-    }
-
-    /// Ranked index ids for one query record, best first (at most `k_max`),
-    /// by exact scan over the live records.
-    pub fn query(&self, record: &Record, k_max: usize) -> Vec<u32> {
-        let q = self.config.embed(&self.embedder, record, None);
-        self.ivf.rank_exact(&self.arena, &q, k_max)
-    }
-
-    /// Ranked index ids for one query record via IVF probing. `nprobe`
-    /// defaults to the configured `IvfParams::nprobe`; any value `>=
-    /// nlists` (or an untrained index) is an exact scan.
-    pub fn query_ann(&self, record: &Record, k_max: usize, nprobe: Option<usize>) -> Vec<u32> {
-        let q = self.config.embed(&self.embedder, record, None);
-        let nprobe = nprobe.unwrap_or(self.ivf.params().nprobe);
-        self.ivf.search(&self.arena, &q, k_max, nprobe)
-    }
-
     fn query_arena(&self, queries: &[Record]) -> VecArena {
         let mut arena = VecArena::new(self.config.dim);
         arena.reserve(queries.len());
@@ -365,17 +321,13 @@ impl NnIndex {
     }
 
     /// Full exact retrieval for a query set — the incremental twin of
-    /// [`EmbeddingNnBlocker::retrieve`] over the records inserted so far.
-    /// With no superseded records this is the shared [`rank_queries`] kernel
-    /// bit for bit; afterwards it is the same scan restricted to live ids.
+    /// [`EmbeddingNnBlocker::retrieve`] over the records inserted so far,
+    /// through the shared [`rank_queries`] kernel bit for bit.
     pub fn retrieval(&self, queries: &[Record], k_max: usize) -> Retrieval {
         let _span = rlb_obs::span!("blocking.retrieve", "index exact k_max={k_max}");
-        let query_arena = self.query_arena(queries);
         Retrieval {
             side: self.side,
-            ranked: rlb_util::par::par_map_range(query_arena.len(), |qi| {
-                self.ivf.rank_exact(&self.arena, query_arena.get(qi), k_max)
-            }),
+            ranked: rank_queries(&self.arena, &self.query_arena(queries), k_max),
             k_max,
         }
     }
@@ -576,7 +528,12 @@ mod tests {
         let mut index = blocker.index(IndexSide::Right);
         index.insert_all(&right.records);
         let empty_query = Record::new(0, vec!["".into()]);
-        assert_eq!(index.query(&empty_query, 3), vec![0, 1, 2]);
+        assert_eq!(
+            index
+                .retrieval(std::slice::from_ref(&empty_query), 3)
+                .ranked,
+            vec![vec![0, 1, 2]]
+        );
     }
 
     #[test]
@@ -615,11 +572,16 @@ mod tests {
         let mut index = EmbeddingNnBlocker::default().index(IndexSide::Right);
         index.insert_all(&r.records);
         let full = index.retrieval(&l.records, 2);
-        for (q, rec) in l.records.iter().enumerate() {
-            assert_eq!(index.query(rec, 2), full.ranked[q], "query {q}");
+        for q in 0..l.len() {
+            let one = &l.records[q..=q];
             assert_eq!(
-                index.query_ann(rec, 2, Some(usize::MAX)),
-                full.ranked[q],
+                index.retrieval(one, 2).ranked,
+                [full.ranked[q].clone()],
+                "query {q}"
+            );
+            assert_eq!(
+                index.retrieval_ann(one, 2, Some(usize::MAX)).ranked,
+                [full.ranked[q].clone()],
                 "ann query {q}"
             );
         }
@@ -632,40 +594,9 @@ mod tests {
         assert!(index.is_empty());
         let ret = index.retrieval(&l.records, 3);
         assert_eq!(ret.candidates(3), vec![]);
-        assert!(index.query(&l.records[0], 3).is_empty());
-        assert!(index.query_ann(&l.records[0], 3, None).is_empty());
-    }
-
-    #[test]
-    fn superseded_records_leave_every_query_path() {
-        let (l, r) = sources();
-        let mut index = EmbeddingNnBlocker::default().index(IndexSide::Right);
-        index.insert_all(&r.records);
-        // Right record 0 is the typo'd duplicate of left record 0.
-        assert_eq!(index.query(&l.records[0], 1), vec![0]);
-        index.supersede(0);
-        assert_eq!(index.live(), r.len() - 1);
-        // The superseded record is gone from the exact path, the ANN path,
-        // and the full retrieval — and the exact/ANN twin still holds over
-        // the live records.
-        assert!(!index.query(&l.records[0], 4).contains(&0));
-        assert!(!index
-            .query_ann(&l.records[0], 4, Some(usize::MAX))
-            .contains(&0));
-        let exact = index.retrieval(&l.records, 4);
-        let ann = index.retrieval_ann(&l.records, 4, Some(usize::MAX));
-        assert_eq!(exact.ranked, ann.ranked);
-        for ranked in &exact.ranked {
-            assert!(!ranked.contains(&0));
-            assert_eq!(ranked.len(), r.len() - 1);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown id")]
-    fn supersede_of_unknown_id_panics() {
-        let mut index = EmbeddingNnBlocker::default().index(IndexSide::Right);
-        index.supersede(3);
+        assert!(ret.ranked.iter().all(Vec::is_empty));
+        let ann = index.retrieval_ann(&l.records, 3, None);
+        assert!(ann.ranked.iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -31,31 +31,22 @@
 //! training the index re-trains from scratch. Because the trigger is
 //! checked per insert, the trained state is a pure function of the total
 //! insert *sequence* — how the sequence was chopped into batches cannot
-//! change it.
-//!
-//! **Tombstones.** Superseded entries are marked dead with
-//! [`IvfIndex::tombstone`]: every search filters them out immediately, and
-//! the next re-train (the `on_insert` hook above, or an explicit
-//! [`IvfIndex::train`]) drops them from the rebuilt inverted lists so stale
-//! ids never accumulate across trainings. `train` asserts the rebuilt lists
-//! hold exactly the live ids.
+//! change it. The arena is append-only, so every id ever inserted stays in
+//! the index.
 
 use crate::arena::{rank_all, rank_subset, VecArena};
 use rlb_util::select::TopK;
-use rlb_util::FxHashSet;
 
-/// IVF tuning knobs. `Default` matches the documented `RLB_ANN_*` defaults;
-/// [`IvfParams::from_env`] overlays the environment on top of them.
+/// IVF tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IvfParams {
     /// Number of inverted lists; `0` selects `ceil(sqrt(n))` (clamped to
-    /// `[1, 4096]`) at training time. Env: `RLB_ANN_NLISTS`.
+    /// `[1, 4096]`) at training time.
     pub nlists: usize,
     /// Default number of lists probed per query; `>= nlists` means exact.
-    /// Env: `RLB_ANN_NPROBE`.
     pub nprobe: usize,
     /// Minimum indexed vectors before k-means training kicks in; below it
-    /// every search is an exact scan. Env: `RLB_ANN_MIN_TRAIN`.
+    /// every search is an exact scan.
     pub min_train: usize,
     /// Re-train once the arena grows past `retrain_factor ×` its size at
     /// the last training.
@@ -80,27 +71,7 @@ impl Default for IvfParams {
     }
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|s| s.trim().parse().ok())
-}
-
 impl IvfParams {
-    /// Defaults overlaid with `RLB_ANN_NLISTS` / `RLB_ANN_NPROBE` /
-    /// `RLB_ANN_MIN_TRAIN` where set and parseable.
-    pub fn from_env() -> Self {
-        let mut p = IvfParams::default();
-        if let Some(n) = env_usize("RLB_ANN_NLISTS") {
-            p.nlists = n;
-        }
-        if let Some(n) = env_usize("RLB_ANN_NPROBE").filter(|&n| n > 0) {
-            p.nprobe = n;
-        }
-        if let Some(n) = env_usize("RLB_ANN_MIN_TRAIN").filter(|&n| n > 0) {
-            p.min_train = n;
-        }
-        p
-    }
-
     /// List count used when training over `n` vectors.
     fn resolve_nlists(&self, n: usize) -> usize {
         let auto = (n as f64).sqrt().ceil() as usize;
@@ -118,14 +89,8 @@ pub struct IvfIndex {
     /// Unit-norm centroid per list (empty until trained).
     centroids: VecArena,
     /// `lists[c]` = arena ids assigned to centroid `c`, ascending. Every
-    /// *live* arena id `< trained-or-inserted length` appears in exactly one
-    /// list; tombstoned ids may linger until the next re-train (searches
-    /// filter them), after which they are dropped for good.
+    /// arena id `< trained-or-inserted length` appears in exactly one list.
     lists: Vec<Vec<u32>>,
-    /// Tombstoned (superseded) arena ids: never returned by a search, and
-    /// dropped from the inverted lists at the next re-train. The arena
-    /// itself is append-only, so the set only grows.
-    dead: FxHashSet<u32>,
     /// Arena length at the last training (0 = untrained).
     trained_len: usize,
     /// Completed trainings (for stats / the `ann.trains` counter).
@@ -159,39 +124,6 @@ impl IvfIndex {
     /// Completed trainings.
     pub fn trains(&self) -> u64 {
         self.trains
-    }
-
-    /// Marks an arena id as superseded: it disappears from every search
-    /// immediately and is dropped from the inverted lists at the next
-    /// re-train. Idempotent.
-    pub fn tombstone(&mut self, id: u32) {
-        if self.dead.insert(id) {
-            rlb_obs::counter_add("ann.tombstones", 1);
-        }
-    }
-
-    /// Number of tombstoned ids.
-    pub fn dead(&self) -> usize {
-        self.dead.len()
-    }
-
-    /// Whether `id` has been tombstoned.
-    pub fn is_dead(&self, id: u32) -> bool {
-        self.dead.contains(&id)
-    }
-
-    /// Dead-aware exact scan: bitwise identical to [`rank_all`] while
-    /// nothing is tombstoned, and to the exact scan restricted to the live
-    /// ids afterwards (ascending visit order, same kernel, same
-    /// tie-breaking).
-    pub fn rank_exact(&self, arena: &VecArena, q: &[f32], k_max: usize) -> Vec<u32> {
-        if self.dead.is_empty() {
-            return rank_all(arena, q, k_max);
-        }
-        let ids: Vec<u32> = (0..arena.len() as u32)
-            .filter(|id| !self.dead.contains(id))
-            .collect();
-        rank_subset(arena, &ids, q, k_max)
     }
 
     /// Id of the nearest centroid to the vector at `id` (lowest id on
@@ -264,22 +196,14 @@ impl IvfIndex {
 
         // Final assignment of *all* vectors; lists built serially in
         // ascending id order so probed candidates come out pre-sorted per
-        // list. Tombstoned ids are dropped here — this is the one place
-        // stale inverted-list state is ever reclaimed.
+        // list.
         let assign = rlb_util::par::par_map_range(n, |id| self.assign_one(arena, id));
         self.lists = vec![Vec::new(); nlists];
         for (id, &c) in assign.iter().enumerate() {
-            if !self.dead.contains(&(id as u32)) {
-                self.lists[c as usize].push(id as u32);
-            }
+            self.lists[c as usize].push(id as u32);
         }
         let listed: usize = self.lists.iter().map(Vec::len).sum();
-        let dropped = self.dead.iter().filter(|&&id| (id as usize) < n).count();
-        assert_eq!(
-            listed,
-            n - dropped,
-            "re-train must list every live id exactly once ({n} ids, {dropped} tombstoned)"
-        );
+        assert_eq!(listed, n, "training must list every id exactly once");
         self.trained_len = n;
         self.trains += 1;
         rlb_obs::counter_add("ann.trains", 1);
@@ -312,17 +236,13 @@ impl IvfIndex {
 
     /// Ranked arena ids for `q`, best first, probing `nprobe` lists.
     /// Untrained indexes and `nprobe >= nlists` take the exact path and are
-    /// bitwise identical to [`rank_all`] (restricted to live ids once
-    /// anything is tombstoned). Tombstoned ids never appear in results.
+    /// bitwise identical to [`rank_all`].
     pub fn search(&self, arena: &VecArena, q: &[f32], k_max: usize, nprobe: usize) -> Vec<u32> {
         let nprobe = nprobe.max(1);
         if !self.trained() || nprobe >= self.lists.len() {
             rlb_obs::counter_add("ann.probes", self.lists.len() as u64);
-            rlb_obs::counter_add(
-                "ann.visited",
-                arena.len().saturating_sub(self.dead.len()) as u64,
-            );
-            return self.rank_exact(arena, q, k_max);
+            rlb_obs::counter_add("ann.visited", arena.len() as u64);
+            return rank_all(arena, q, k_max);
         }
         let qnorm = rlb_util::linalg::norm_f32(q);
         let mut best_lists = TopK::new(nprobe);
@@ -331,18 +251,7 @@ impl IvfIndex {
         }
         let mut ids: Vec<u32> = Vec::new();
         for (_, c) in best_lists.into_sorted() {
-            if self.dead.is_empty() {
-                ids.extend_from_slice(&self.lists[c as usize]);
-            } else {
-                // Lists may still carry tombstoned ids until the next
-                // re-train; filter them out of the candidate set here.
-                ids.extend(
-                    self.lists[c as usize]
-                        .iter()
-                        .copied()
-                        .filter(|id| !self.dead.contains(id)),
-                );
-            }
+            ids.extend_from_slice(&self.lists[c as usize]);
         }
         // Ascending visit order matches the exact scan restricted to this
         // candidate set, fixing top-K tie-breaking.
@@ -464,105 +373,5 @@ mod tests {
         assert_eq!(a.lists, b.lists);
         assert_eq!(a.trains(), b.trains());
         assert!(a.trains() >= 2, "sequence crosses the retrain threshold");
-    }
-
-    #[test]
-    fn tombstoned_ids_vanish_from_searches_and_are_dropped_at_retrain() {
-        let arena = random_arena(500, 8, 8);
-        let mut ivf = IvfIndex::new(params(8, 1));
-        ivf.train(&arena);
-        // Tombstone a spread of ids, including the best match for their own
-        // vectors (a record is always its own nearest neighbour).
-        for id in [0u32, 123, 250, 499] {
-            ivf.tombstone(id);
-        }
-        ivf.tombstone(123); // idempotent
-        assert_eq!(ivf.dead(), 4);
-        // Stale list state: the ids are still listed (lazy reclamation)…
-        let listed: usize = ivf.lists.iter().map(Vec::len).sum();
-        assert_eq!(listed, 500, "tombstones reclaim lazily, at re-train");
-        // …but no search path returns them, probed or exact.
-        for &id in &[0u32, 123, 250, 499] {
-            let q = arena.get(id as usize);
-            for nprobe in [1, 2, usize::MAX] {
-                assert!(
-                    !ivf.search(&arena, q, 10, nprobe).contains(&id),
-                    "dead id {id} leaked at nprobe={nprobe}"
-                );
-            }
-        }
-        // The exhaustive probe stays bitwise identical to the dead-aware
-        // exact scan.
-        let q = arena.get(42);
-        assert_eq!(
-            ivf.search(&arena, q, 15, usize::MAX),
-            ivf.rank_exact(&arena, q, 15)
-        );
-        // Re-train drops the dead ids from the lists for good.
-        ivf.train(&arena);
-        let listed: usize = ivf.lists.iter().map(Vec::len).sum();
-        assert_eq!(listed, 500 - 4, "re-train drops tombstoned ids");
-        for list in &ivf.lists {
-            for &id in list {
-                assert!(!ivf.is_dead(id), "dead id {id} survived re-train");
-            }
-        }
-    }
-
-    #[test]
-    fn on_insert_retrain_reclaims_tombstones() {
-        // The incremental path: train at min_train, tombstone, then keep
-        // inserting until the growth trigger re-trains — the stale ids must
-        // be gone from the rebuilt lists without any explicit train call.
-        let full = random_arena(200, 8, 9);
-        let mut ivf = IvfIndex::new(IvfParams {
-            nlists: 4,
-            min_train: 64,
-            ..Default::default()
-        });
-        let mut arena = VecArena::new(8);
-        for id in 0..100 {
-            arena.push(full.get(id));
-            ivf.on_insert(&arena);
-        }
-        assert!(ivf.trained());
-        let trains_before = ivf.trains();
-        ivf.tombstone(10);
-        ivf.tombstone(70);
-        for id in 100..200 {
-            arena.push(full.get(id));
-            ivf.on_insert(&arena);
-        }
-        assert!(ivf.trains() > trains_before, "growth crossed the re-train");
-        let listed: usize = ivf.lists.iter().map(Vec::len).sum();
-        assert_eq!(listed, 200 - 2, "re-train reclaimed the tombstones");
-        let q = full.get(10);
-        assert!(!ivf.search(&arena, q, 5, usize::MAX).contains(&10));
-    }
-
-    #[test]
-    fn tombstone_before_training_filters_the_exact_path() {
-        let arena = random_arena(50, 8, 10);
-        let mut ivf = IvfIndex::new(params(4, 1_000_000));
-        assert!(!ivf.trained());
-        ivf.tombstone(7);
-        let q = arena.get(7);
-        let got = ivf.search(&arena, q, 50, 1);
-        assert!(!got.contains(&7));
-        assert_eq!(got.len(), 49, "every live id still reachable");
-    }
-
-    #[test]
-    fn from_env_overlays_defaults() {
-        // Env-dependent: set, read, restore. Serial-safe because the keys
-        // are unique to this test body.
-        std::env::set_var("RLB_ANN_NLISTS", "99");
-        std::env::set_var("RLB_ANN_NPROBE", "0"); // invalid: keeps default
-        let p = IvfParams::from_env();
-        std::env::remove_var("RLB_ANN_NLISTS");
-        std::env::remove_var("RLB_ANN_NPROBE");
-        assert_eq!(p.nlists, 99);
-        assert_eq!(p.nprobe, IvfParams::default().nprobe);
-        assert_eq!(p.min_train, IvfParams::default().min_train);
     }
 }

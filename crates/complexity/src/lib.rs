@@ -70,34 +70,6 @@ impl Default for ComplexityConfig {
     }
 }
 
-impl ComplexityConfig {
-    /// Defaults overridden by the `RLB_COMPLEXITY_*` environment knobs:
-    ///
-    /// - `RLB_COMPLEXITY_SAMPLE=m` — enable estimator mode with an
-    ///   `m`-point landmark sample for the distance-based groups;
-    /// - `RLB_COMPLEXITY_MAX_POINTS=n` — override the working-set cap.
-    ///
-    /// Unset, empty, or unparsable values leave the default untouched, so
-    /// the service's assess path can call this unconditionally.
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Some(m) = env_usize("RLB_COMPLEXITY_SAMPLE") {
-            cfg.estimator_sample = Some(m);
-        }
-        if let Some(n) = env_usize("RLB_COMPLEXITY_MAX_POINTS") {
-            cfg.max_points = n;
-        }
-        cfg
-    }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&v| v > 0)
-}
-
 /// Declared error bound for estimator mode with an `m`-point sample:
 /// `sqrt(ln(200) / m)`.
 ///
@@ -808,30 +780,6 @@ mod tests {
         let m = 500;
         let hoeffding = (200.0_f64.ln() / (2.0 * m as f64)).sqrt();
         assert!((estimator_bound(m) - hoeffding * 2.0_f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn config_from_env_reads_estimator_knobs() {
-        std::env::remove_var("RLB_COMPLEXITY_SAMPLE");
-        std::env::remove_var("RLB_COMPLEXITY_MAX_POINTS");
-        let cfg = ComplexityConfig::from_env();
-        assert_eq!(cfg.estimator_sample, None);
-        assert_eq!(cfg.max_points, ComplexityConfig::default().max_points);
-
-        std::env::set_var("RLB_COMPLEXITY_SAMPLE", "4000");
-        std::env::set_var("RLB_COMPLEXITY_MAX_POINTS", "9999");
-        let cfg = ComplexityConfig::from_env();
-        assert_eq!(cfg.estimator_sample, Some(4000));
-        assert_eq!(cfg.max_points, 9999);
-
-        // Garbage and zero fall back to the defaults.
-        std::env::set_var("RLB_COMPLEXITY_SAMPLE", "lots");
-        std::env::set_var("RLB_COMPLEXITY_MAX_POINTS", "0");
-        let cfg = ComplexityConfig::from_env();
-        assert_eq!(cfg.estimator_sample, None);
-        assert_eq!(cfg.max_points, ComplexityConfig::default().max_points);
-        std::env::remove_var("RLB_COMPLEXITY_SAMPLE");
-        std::env::remove_var("RLB_COMPLEXITY_MAX_POINTS");
     }
 
     #[test]

@@ -126,10 +126,7 @@ pub fn assess_from_scores(
 ) -> Result<Assessment> {
     let linearity = degree_of_linearity_from_scores(pairs, scores);
     let labels: Vec<bool> = pairs.iter().map(|lp| lp.is_match).collect();
-    // `from_env` honors the `RLB_COMPLEXITY_*` knobs, so a deployment can
-    // switch the assess path to the error-bounded landmark estimator
-    // (RLB_COMPLEXITY_SAMPLE) without a rebuild; defaults stay exact.
-    let complexity = rlb_complexity::compute_cs_js(scores, &labels, &ComplexityConfig::from_env())?;
+    let complexity = rlb_complexity::compute_cs_js(scores, &labels, &ComplexityConfig::default())?;
     let practical = (!runs.is_empty()).then(|| practical_measures(runs));
     let flags = EasyFlags {
         by_linearity: linearity.max_f1() >= LINEARITY_EASY,

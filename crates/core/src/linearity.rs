@@ -100,8 +100,8 @@ fn report_from_scores(pairs: &[rlb_data::LabeledPair], scores: &[[f64; 2]]) -> L
 /// result is the best attribute's report together with its index.
 ///
 /// The paper found no significant difference from the schema-agnostic
-/// setting; the `schema_linearity_gap` integration test reproduces that
-/// observation on the synthetic benchmarks.
+/// setting; the unit test `schema_aware_close_to_schema_agnostic` checks
+/// that finding on a synthetic task.
 pub fn degree_of_linearity_schema_aware(task: &MatchingTask) -> (usize, LinearityReport) {
     degree_of_linearity_schema_aware_with(task, &TaskViewCache::build(task))
 }

@@ -46,22 +46,9 @@ impl Record {
         rlb_textsim::tokens(&self.full_text())
     }
 
-    /// Interned id-set twin of [`Record::token_set`]: the same schema-
-    /// agnostic tokens, mapped through `interner` into a sorted
-    /// [`rlb_textsim::IdSet`]. Sharing one interner across every record of a
-    /// task makes the resulting sets intersect-comparable.
-    pub fn id_set(&self, interner: &mut rlb_textsim::TokenInterner) -> rlb_textsim::IdSet {
-        rlb_textsim::IdSet::from_tokens(interner, rlb_textsim::tokens(&self.full_text()))
-    }
-
     /// Value of attribute `a`, or `""` when out of range.
     pub fn value(&self, a: usize) -> &str {
         self.values.get(a).map(String::as_str).unwrap_or("")
-    }
-
-    /// Whether attribute `a` is missing (empty or out of range).
-    pub fn is_missing(&self, a: usize) -> bool {
-        self.value(a).is_empty()
     }
 }
 
@@ -118,11 +105,6 @@ impl Source {
         &self.records[id as usize]
     }
 
-    /// Index of an attribute by name.
-    pub fn attribute_index(&self, name: &str) -> Option<usize> {
-        self.attributes.iter().position(|a| a == name)
-    }
-
     /// Number of attributes.
     pub fn arity(&self) -> usize {
         self.attributes.len()
@@ -153,6 +135,7 @@ mod tests {
     fn push_assigns_sequential_ids() {
         let s = sample_source();
         assert_eq!(s.len(), 2);
+        assert_eq!(s.arity(), 3);
         assert_eq!(s.record(0).id, 0);
         assert_eq!(s.record(1).id, 1);
     }
@@ -180,34 +163,11 @@ mod tests {
     }
 
     #[test]
-    fn id_set_mirrors_token_set() {
-        let s = sample_source();
-        let mut interner = rlb_textsim::TokenInterner::new();
-        let ids = s.record(0).id_set(&mut interner);
-        let strings = s.record(0).token_set();
-        assert_eq!(ids.len(), strings.len());
-        assert!(ids.contains(interner.get("iphone").unwrap()));
-        // Records interned through the same dictionary are comparable.
-        let other = s.record(1).id_set(&mut interner);
-        assert_eq!(ids.intersection_size(&other), 0);
-    }
-
-    #[test]
     fn value_and_missing_are_total() {
         let s = sample_source();
         assert_eq!(s.record(1).value(1), "");
-        assert!(s.record(1).is_missing(1));
-        assert!(!s.record(1).is_missing(0));
+        assert_eq!(s.record(1).value(0), "Galaxy S21");
         assert_eq!(s.record(1).value(99), "");
-        assert!(s.record(1).is_missing(99));
-    }
-
-    #[test]
-    fn attribute_index_lookup() {
-        let s = sample_source();
-        assert_eq!(s.attribute_index("brand"), Some(1));
-        assert_eq!(s.attribute_index("missing"), None);
-        assert_eq!(s.arity(), 3);
     }
 
     #[test]

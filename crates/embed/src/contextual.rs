@@ -55,14 +55,6 @@ impl ContextualEncoder {
         }
     }
 
-    /// Encoder over a custom base embedder (used in tests and ablations).
-    pub fn with_base(base: HashedEmbedder) -> Self {
-        ContextualEncoder {
-            base,
-            max_tokens: 256,
-        }
-    }
-
     /// Output dimensionality.
     pub fn dim(&self) -> usize {
         self.base.dim()
@@ -134,14 +126,6 @@ impl ContextualEncoder {
     pub fn encode_text(&self, text: &str) -> Vec<f32> {
         self.encode_tokens(&rlb_textsim::tokens(text))
     }
-
-    /// Encodes the paper's sequence-pair classification input
-    /// `"[CLS] seq1 [SEP] seq2 [SEP]"` into the pair of sequence vectors
-    /// (the substitute for the CLS token is downstream: matchers build
-    /// features from both vectors).
-    pub fn encode_pair(&self, seq1: &str, seq2: &str) -> (Vec<f32>, Vec<f32>) {
-        (self.encode_text(seq1), self.encode_text(seq2))
-    }
 }
 
 #[cfg(test)]
@@ -207,13 +191,5 @@ mod tests {
         let short = e.encode_text("a b c d");
         let long = e.encode_text("a b c d e f g h");
         assert_eq!(short, long);
-    }
-
-    #[test]
-    fn encode_pair_returns_both_sequences() {
-        let e = ContextualEncoder::new(Variant::Bert);
-        let (a, b) = e.encode_pair("left record", "right record");
-        assert_eq!(a, e.encode_text("left record"));
-        assert_eq!(b, e.encode_text("right record"));
     }
 }

@@ -38,11 +38,6 @@ impl SentenceEmbedder {
         self.base.dim()
     }
 
-    /// Number of corpus documents seen during fit.
-    pub fn corpus_size(&self) -> u32 {
-        self.idf.n_docs()
-    }
-
     /// Embeds one text into a unit vector (zero vector for empty text).
     pub fn encode(&self, text: &str) -> Vec<f32> {
         let tokens = rlb_textsim::tokens(text);
@@ -84,7 +79,7 @@ mod tests {
 
     #[test]
     fn fit_counts_corpus() {
-        assert_eq!(embedder().corpus_size(), 4);
+        assert_eq!(embedder().idf.n_docs(), 4);
         assert_eq!(embedder().dim(), 64);
     }
 

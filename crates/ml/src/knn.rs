@@ -46,13 +46,6 @@ impl KnnClassifier {
         top.into_sorted().into_iter().map(|(_, i)| i).collect()
     }
 
-    /// Leave-one-out prediction for stored point `i` — the basis of the
-    /// `n3` (LOO error rate) complexity measure.
-    pub fn predict_loo(&self, i: usize) -> bool {
-        let nb = self.neighbors(&self.xs[i], Some(i));
-        self.vote(&nb)
-    }
-
     fn vote(&self, neighbors: &[usize]) -> bool {
         if neighbors.is_empty() {
             return false;
@@ -118,7 +111,8 @@ mod tests {
         let mut m = KnnClassifier::new(1);
         m.fit(&xs, &ys).unwrap();
         assert!(m.predict(&xs[3])); // sees itself
-        assert!(!m.predict_loo(3)); // cannot see itself
+        let loo = m.neighbors(&xs[3], Some(3)); // cannot see itself
+        assert!(!ys[loo[0]]);
     }
 
     #[test]

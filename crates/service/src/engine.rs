@@ -1,14 +1,17 @@
 //! The resident linkage engine: one long-lived owner of the record store,
-//! the shared token dictionary, the task views, and the embedding index.
+//! the task views, and the embedding index.
 //!
 //! Every batch binary in the workspace follows build-task → measure → exit.
 //! The engine inverts that: it is constructed once, then absorbs ingest
 //! batches over its lifetime, keeping three incremental structures in sync:
 //!
 //! - the [`MatchingTask`] record store and labelled splits (append-only),
-//! - a [`TaskViewCache`] extended through one shared append-only
-//!   [`rlb_textsim::ShardedInterner`] (no re-tokenization of old records),
+//! - a [`TaskViewCache`] whose token dictionary grows in place with each
+//!   ingest (no re-tokenization of old records),
 //! - an [`NnIndex`] over the right source for embedding top-K blocking.
+//!
+//! [`Engine::ingest`] is the only writer: it takes `&mut self`, and nothing
+//! is ever removed from any of the three.
 //!
 //! **Incremental-twin policy.** After any sequence of ingests, the engine's
 //! [`Engine::assess`] and [`Engine::link`] outputs are byte-identical
@@ -94,7 +97,8 @@ pub struct IngestStats {
     pub right: usize,
     /// Total labelled pairs now stored.
     pub pairs: usize,
-    /// Distinct tokens in the shared dictionary.
+    /// Distinct tokens in the task views' dictionary; equal to a batch
+    /// rebuild's, whatever order the records were ingested in.
     pub vocab: usize,
 }
 
@@ -138,12 +142,6 @@ impl Engine {
         &self.task
     }
 
-    /// The incrementally extended views (`None` before the first ingest
-    /// carrying records).
-    pub fn views(&self) -> Option<&TaskViewCache> {
-        self.views.as_ref()
-    }
-
     /// Current counts.
     pub fn stats(&self) -> IngestStats {
         IngestStats {
@@ -156,7 +154,7 @@ impl Engine {
 
     /// Validates and applies one ingest batch. On error nothing is mutated;
     /// on success records are appended to the store, the views are extended
-    /// through the shared interner, new right records enter the embedding
+    /// in place over the new records, new right records enter the embedding
     /// index, and pairs join their splits with their `[CS, JS]` rows.
     pub fn ingest(&mut self, batch: IngestBatch) -> Result<IngestStats, String> {
         let _span = rlb_obs::span!("serve.ingest", "{}+{}", batch.left.len(), batch.right.len());
@@ -220,9 +218,9 @@ impl Engine {
     }
 
     /// IVF-probed variant of [`Engine::link`]. `nprobe` defaults to the
-    /// index's configured `RLB_ANN_NPROBE`; at exhaustive probing (or while
-    /// the index is still below its training threshold) the result is
-    /// bitwise identical to [`Engine::link`].
+    /// index's configured [`rlb_blocking::IvfParams::nprobe`]; at exhaustive
+    /// probing (or while the index is still below its training threshold)
+    /// the result is bitwise identical to [`Engine::link`].
     pub fn link_ann(&self, k: usize, nprobe: Option<usize>) -> Retrieval {
         let _span = rlb_obs::span!("serve.link", "ann k={k}");
         self.index

@@ -3,8 +3,8 @@
 //! Where every other binary in the workspace is batch (build task → measure
 //! → exit), this crate keeps a linkage engine alive: records arrive in
 //! ingest batches, blocking and assessment queries run against everything
-//! ingested so far, and the incremental structures (shared token
-//! dictionary, extended task views, embedding index) guarantee the answers
+//! ingested so far, and the incremental structures (task views with their
+//! token dictionary, embedding index) guarantee the answers
 //! are byte-identical to a from-scratch batch rebuild — see [`engine`] for
 //! the twin policy and [`protocol`] for the stdin-JSONL wire format the
 //! `rlb-serve` binary speaks.

@@ -8,8 +8,8 @@
 //!
 //! `link` is an exact scan unless the request carries an `"nprobe"` field,
 //! which switches to IVF-probed retrieval over the incrementally trained
-//! index (`RLB_ANN_*` knobs); the response then echoes `"mode":"ann"` and
-//! the probe count. `stats` reports the ANN layer's state under `"ann"`.
+//! index; the response then echoes `"mode":"ann"` and the probe count.
+//! `stats` reports the ANN layer's state under `"ann"`.
 //!
 //! ```text
 //! {"op":"ingest","attributes":["name"],"left":[["acme"]],"right":[["acme"]],

@@ -151,6 +151,13 @@ fn random_ingest_interleavings_are_twins_of_batch_rebuild() {
         assert_eq!(engine.stats().left, task.left.len());
         assert_eq!(engine.stats().right, task.right.len());
         assert_eq!(engine.stats().pairs, task.total_pairs());
+        // The wire's `stats.vocab`: the ingest-order dictionary holds the
+        // same distinct tokens as a batch rebuild's.
+        assert_eq!(
+            engine.stats().vocab,
+            TaskViewCache::build(engine.task()).vocab_size(),
+            "case {case}: vocab diverged"
+        );
         assert_eq!(engine.task().validate(), Ok(()));
         assert_assessments_identical(&engine, &format!("case {case}"));
         // Blocking twin: same ranked ids in the same order.
@@ -171,31 +178,41 @@ fn random_ingest_interleavings_are_twins_of_batch_rebuild() {
     }
 }
 
+/// Single-attribute records in the style of `rlb-blocking`'s ANN twin
+/// corpus: a few adjectives and nouns over 40 model numbers, with about one
+/// record in twelve empty so the zero-norm path is exercised too.
+fn ann_corpus(n: usize, seed: u64) -> Vec<Vec<String>> {
+    let mut rng = Prng::seed_from_u64(seed);
+    let adjectives = ["fast", "slim", "pro", "ultra", "mini", "max"];
+    let nouns = ["widget", "speaker", "laptop", "router", "camera", "drone"];
+    (0..n)
+        .map(|i| {
+            let text = match rng.index(12) {
+                0 => String::new(),
+                _ => format!(
+                    "{} {} model {}",
+                    adjectives[rng.index(adjectives.len())],
+                    nouns[rng.index(nouns.len())],
+                    i % 40
+                ),
+            };
+            vec![text]
+        })
+        .collect()
+}
+
 #[test]
 fn trained_ann_index_stays_a_twin_at_exhaustive_probe() {
-    // Force the incremental index to actually train (and re-train) during
-    // ingest: 70 right records with a threshold of 24 crosses the k-means
-    // trigger and at least one growth re-train. The knobs are read once at
-    // engine construction, so the env round-trip is confined to `new`.
-    std::env::set_var("RLB_ANN_MIN_TRAIN", "24");
-    std::env::set_var("RLB_ANN_NLISTS", "4");
-    let task = synth_task(31337);
-    let engine_result = std::panic::catch_unwind(|| Engine::new(task.name.clone()));
-    std::env::remove_var("RLB_ANN_MIN_TRAIN");
-    std::env::remove_var("RLB_ANN_NLISTS");
-    let mut engine = engine_result.expect("engine construction");
-    let mut pending = tagged_pairs(&task);
+    // Force the engine's default index to train (and re-train) during
+    // ingest: k-means first runs at 2,000 right records and re-trains once
+    // the store grows 1.5× past that, so 3,100 records cross both.
+    let mut engine = Engine::new("ann-twin");
     engine
         .ingest(IngestBatch {
-            attributes: Some(task.left.attributes.clone()),
-            left: task.left.records.iter().map(|r| r.values.clone()).collect(),
-            right: task
-                .right
-                .records
-                .iter()
-                .map(|r| r.values.clone())
-                .collect(),
-            pairs: std::mem::take(&mut pending),
+            attributes: Some(vec!["name".into()]),
+            left: ann_corpus(30, 99),
+            right: ann_corpus(3_100, 11),
+            pairs: Vec::new(),
         })
         .unwrap();
     assert!(

@@ -49,14 +49,6 @@ pub fn word_pool(seed: u64, count: usize, syllables: usize) -> Vec<String> {
     out
 }
 
-/// Model-code style identifier, e.g. `"XK-4821"`.
-pub fn model_code(rng: &mut Prng) -> String {
-    let letters: Vec<char> = ('A'..='Z').collect();
-    let a = *rng.choose(&letters);
-    let b = *rng.choose(&letters);
-    format!("{a}{b}-{}", rng.range(100, 9999))
-}
-
 /// Brand names used by the product domains.
 pub const BRANDS: &[&str] = &[
     "acme",
@@ -201,17 +193,5 @@ mod tests {
     fn word_pool_same_seed_same_pool() {
         assert_eq!(word_pool(9, 50, 2), word_pool(9, 50, 2));
         assert_ne!(word_pool(9, 50, 2), word_pool(10, 50, 2));
-    }
-
-    #[test]
-    fn model_codes_have_expected_shape() {
-        let mut rng = Prng::seed_from_u64(3);
-        for _ in 0..50 {
-            let c = model_code(&mut rng);
-            let (alpha, num) = c.split_once('-').unwrap();
-            assert_eq!(alpha.len(), 2);
-            assert!(alpha.chars().all(|c| c.is_ascii_uppercase()));
-            assert!(num.parse::<u32>().is_ok());
-        }
     }
 }

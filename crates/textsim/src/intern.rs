@@ -25,32 +25,28 @@
 //! [`crate::sets`] counterpart — the reports produced through either
 //! representation are bit-for-bit equal. `tests/invariants.rs` asserts this
 //! property over random multisets, and the `rlb-matchers` and `rlb-core`
-//! unit tests assert it on whole task views and linearity reports.
+//! unit tests assert it on whole task views and linearity reports. The same
+//! argument makes the id labelling irrelevant: a dictionary filled in ingest
+//! order (the resident service's) assigns different ids than one filled in
+//! batch order, and every similarity still comes out bit-identical.
 
 use rlb_util::FxHashMap;
-use std::sync::RwLock;
 
 /// Size ratio at which [`IdSet::intersection_size`] abandons the linear
 /// merge for the galloping path: probing the large set per small-set element
 /// costs `O(|small| · log |large|)`, which wins once the ratio is skewed.
 pub const GALLOP_RATIO: usize = 16;
 
-/// Shard-index width of [`ShardedInterner`] ids: the low `SHARD_BITS` bits
-/// select the shard, the rest are the token's insertion index within it.
-pub const SHARD_BITS: u32 = 4;
-
-/// Number of shards in a [`ShardedInterner`] (`2^SHARD_BITS`).
-pub const SHARD_COUNT: usize = 1 << SHARD_BITS;
-
 /// Dictionary mapping token strings to dense `u32` ids.
 ///
 /// Ids are assigned in first-seen order, so building views in record order
 /// is deterministic regardless of thread count (tokenization parallelizes;
-/// interning is a cheap sequential pass over the token vectors).
+/// interning is a cheap sequential pass over the token vectors). The
+/// dictionary only grows: an id, once assigned, never changes, so sets built
+/// against an earlier state stay valid as more records are interned.
 #[derive(Debug, Clone, Default)]
 pub struct TokenInterner {
     map: FxHashMap<String, u32>,
-    names: Vec<String>,
 }
 
 impl TokenInterner {
@@ -64,146 +60,19 @@ impl TokenInterner {
         if let Some(&id) = self.map.get(token) {
             return id;
         }
-        let id = self.names.len() as u32;
+        let id = self.map.len() as u32;
         self.map.insert(token.to_owned(), id);
-        self.names.push(token.to_owned());
         id
-    }
-
-    /// Id of an already-interned token, `None` if unseen. Useful for
-    /// membership probes that must not grow the dictionary.
-    pub fn get(&self, token: &str) -> Option<u32> {
-        self.map.get(token).copied()
-    }
-
-    /// The token string behind `id`, `None` when out of range.
-    pub fn resolve(&self, id: u32) -> Option<&str> {
-        self.names.get(id as usize).map(String::as_str)
     }
 
     /// Number of distinct tokens interned so far.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.map.len()
     }
 
     /// Whether no token has been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-}
-
-/// A concurrent, append-only token dictionary: the resident-service twin of
-/// [`TokenInterner`].
-///
-/// [`TokenInterner::intern`] takes `&mut self`, which forces every caller
-/// into a single-writer discipline — fine for a batch run that builds views
-/// once, fatal for a long-lived engine where ingests arrive while readers
-/// hold views. `ShardedInterner` interns through `&self`: tokens are routed
-/// to one of [`SHARD_COUNT`] shards by FxHash, each shard guarded by its own
-/// `RwLock`, so lookups of already-interned tokens take a read lock and only
-/// genuinely new tokens serialize on their shard's write lock.
-///
-/// Ids pack `(local_index << SHARD_BITS) | shard_index`. The dictionary is
-/// **append-only**: an id, once assigned, never changes and never goes away,
-/// so [`IdSet`]s built against an earlier state of the interner stay valid
-/// forever — the property the incremental `TaskViewCache` extension in
-/// `rlb-matchers` relies on.
-///
-/// **Twin policy under sharding.** Sharded ids are *not* the dense
-/// first-seen ids [`TokenInterner`] assigns, and an incremental ingest
-/// sequence interleaves sources differently than a batch rebuild. Both are
-/// harmless: interning is injective whatever the id labels, so
-/// `|ids(A) ∩ ids(B)| == |A ∩ B|` still holds and every similarity built on
-/// intersection/union *sizes* is bit-for-bit independent of the labeling.
-/// The service's incremental-vs-rebuild tests assert that end to end.
-#[derive(Debug, Default)]
-pub struct ShardedInterner {
-    shards: [RwLock<Shard>; SHARD_COUNT],
-}
-
-#[derive(Debug, Default)]
-struct Shard {
-    map: FxHashMap<String, u32>,
-    names: Vec<String>,
-}
-
-impl ShardedInterner {
-    /// Empty dictionary.
-    pub fn new() -> Self {
-        ShardedInterner::default()
-    }
-
-    #[inline]
-    fn shard_of(token: &str) -> usize {
-        use std::hash::BuildHasher;
-        let h = rlb_util::hash::FxBuildHasher::default().hash_one(token);
-        (h as usize) & (SHARD_COUNT - 1)
-    }
-
-    /// Id of `token`, interning it if unseen. Concurrent callers are safe;
-    /// the id for a given token is stable for the interner's lifetime.
-    pub fn intern(&self, token: &str) -> u32 {
-        let shard_idx = Self::shard_of(token);
-        let shard = &self.shards[shard_idx];
-        if let Some(&local) = shard
-            .read()
-            .expect("interner shard poisoned")
-            .map
-            .get(token)
-        {
-            return (local << SHARD_BITS) | shard_idx as u32;
-        }
-        let mut guard = shard.write().expect("interner shard poisoned");
-        // Double-check: another writer may have interned it between locks.
-        if let Some(&local) = guard.map.get(token) {
-            return (local << SHARD_BITS) | shard_idx as u32;
-        }
-        let local = u32::try_from(guard.names.len()).expect("shard overflow");
-        assert!(
-            local.leading_zeros() >= SHARD_BITS,
-            "interner shard exceeds id space"
-        );
-        guard.map.insert(token.to_owned(), local);
-        guard.names.push(token.to_owned());
-        (local << SHARD_BITS) | shard_idx as u32
-    }
-
-    /// Id of an already-interned token, `None` if unseen. Never grows the
-    /// dictionary.
-    pub fn get(&self, token: &str) -> Option<u32> {
-        let shard_idx = Self::shard_of(token);
-        let guard = self.shards[shard_idx]
-            .read()
-            .expect("interner shard poisoned");
-        guard
-            .map
-            .get(token)
-            .map(|&local| (local << SHARD_BITS) | shard_idx as u32)
-    }
-
-    /// The token string behind `id`, `None` when out of range. Allocates
-    /// (the string is copied out so no shard lock outlives the call).
-    pub fn resolve(&self, id: u32) -> Option<String> {
-        let shard_idx = (id as usize) & (SHARD_COUNT - 1);
-        let local = (id >> SHARD_BITS) as usize;
-        let guard = self.shards[shard_idx]
-            .read()
-            .expect("interner shard poisoned");
-        guard.names.get(local).cloned()
-    }
-
-    /// Number of distinct tokens interned so far (sums the shards; a
-    /// point-in-time figure under concurrent interning).
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("interner shard poisoned").names.len())
-            .sum()
-    }
-
-    /// Whether no token has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.map.is_empty()
     }
 }
 
@@ -224,22 +93,6 @@ impl IdSet {
 
     /// Interns every token and builds the set.
     pub fn from_tokens<I, S>(interner: &mut TokenInterner, tokens: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        IdSet::from_ids(
-            tokens
-                .into_iter()
-                .map(|t| interner.intern(t.as_ref()))
-                .collect(),
-        )
-    }
-
-    /// Interns every token through a shared [`ShardedInterner`] and builds
-    /// the set — the `&self` twin of [`IdSet::from_tokens`] for callers that
-    /// share one dictionary across threads or across ingest batches.
-    pub fn from_tokens_shared<I, S>(interner: &ShardedInterner, tokens: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
@@ -411,10 +264,6 @@ mod tests {
         assert_eq!(it.intern("apple"), a);
         assert_eq!((a, b), (0, 1));
         assert_eq!(it.len(), 2);
-        assert_eq!(it.get("banana"), Some(1));
-        assert_eq!(it.get("cherry"), None);
-        assert_eq!(it.resolve(0), Some("apple"));
-        assert_eq!(it.resolve(9), None);
     }
 
     #[test]
@@ -475,102 +324,6 @@ mod tests {
             let merged = merge_intersection(a.ids(), b.ids());
             assert_eq!(a.intersection_size(&b), merged, "small {small:?}");
             assert_eq!(b.intersection_size(&a), merged, "small {small:?}");
-        }
-    }
-
-    #[test]
-    fn sharded_interner_round_trips_and_is_stable() {
-        let it = ShardedInterner::new();
-        assert!(it.is_empty());
-        let a = it.intern("apple");
-        let b = it.intern("banana");
-        assert_ne!(a, b);
-        assert_eq!(it.intern("apple"), a);
-        assert_eq!(it.get("banana"), Some(b));
-        assert_eq!(it.get("cherry"), None);
-        assert_eq!(it.len(), 2);
-        assert_eq!(it.resolve(a).as_deref(), Some("apple"));
-        assert_eq!(it.resolve(b).as_deref(), Some("banana"));
-        // An id from a shard that never grew that far resolves to None.
-        assert_eq!(it.resolve(u32::MAX), None);
-    }
-
-    #[test]
-    fn sharded_ids_are_injective_across_many_tokens() {
-        let it = ShardedInterner::new();
-        let ids: Vec<u32> = (0..2000).map(|i| it.intern(&format!("tok{i}"))).collect();
-        let distinct: std::collections::BTreeSet<u32> = ids.iter().copied().collect();
-        assert_eq!(distinct.len(), ids.len(), "id collision");
-        assert_eq!(it.len(), 2000);
-        // Re-interning returns the identical ids (append-only stability).
-        for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(it.intern(&format!("tok{i}")), id);
-        }
-    }
-
-    #[test]
-    fn sharded_interner_is_safe_under_concurrent_interning() {
-        let it = ShardedInterner::new();
-        // Heavy overlap across threads: every thread interns the same 256
-        // tokens plus a private range, so both lock paths are exercised.
-        let per_thread: Vec<Vec<(String, u32)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
-                .map(|t| {
-                    let it = &it;
-                    scope.spawn(move || {
-                        (0..256)
-                            .flat_map(|i| {
-                                let shared = format!("shared{i}");
-                                let private = format!("t{t}p{i}");
-                                let sid = it.intern(&shared);
-                                let pid = it.intern(&private);
-                                [(shared, sid), (private, pid)]
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        // 256 shared + 8 * 256 private distinct tokens.
-        assert_eq!(it.len(), 256 + 8 * 256);
-        // Every thread observed the same id for every token it interned.
-        for run in &per_thread {
-            for (token, id) in run {
-                assert_eq!(it.get(token), Some(*id), "token {token}");
-            }
-        }
-    }
-
-    #[test]
-    fn shared_sets_give_bitwise_equal_similarities_to_dense_sets() {
-        // Different interners assign different ids, but every similarity is
-        // a function of set sizes only — the outputs must agree bitwise.
-        let mut dense = TokenInterner::new();
-        let shared = ShardedInterner::new();
-        let corpus: [&[&str]; 3] = [
-            &["red", "green", "blue"],
-            &["green", "blue", "yellow", "red"],
-            &["violet"],
-        ];
-        let dense_sets: Vec<IdSet> = corpus
-            .iter()
-            .map(|ws| IdSet::from_tokens(&mut dense, ws.iter()))
-            .collect();
-        let shared_sets: Vec<IdSet> = corpus
-            .iter()
-            .map(|ws| IdSet::from_tokens_shared(&shared, ws.iter()))
-            .collect();
-        for i in 0..corpus.len() {
-            for j in 0..corpus.len() {
-                let (a, b) = (&dense_sets[i], &dense_sets[j]);
-                let (c, d) = (&shared_sets[i], &shared_sets[j]);
-                assert_eq!(a.intersection_size(b), c.intersection_size(d));
-                assert_eq!(a.union_size(b), c.union_size(d));
-                for f in [cosine, jaccard, dice, overlap] {
-                    assert_eq!(f(a, b).to_bits(), f(c, d).to_bits());
-                }
-            }
         }
     }
 

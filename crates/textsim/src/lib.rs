@@ -9,9 +9,9 @@
 //!   (Algorithm 1) and the `[CS, JS]` complexity-measure representation,
 //! - the dictionary-interned integer twin of those sets ([`intern`]):
 //!   [`TokenInterner`] + [`IdSet`] with merge-join/galloping intersections,
-//!   used by the hot pipeline paths, plus the concurrent append-only
-//!   [`ShardedInterner`] the resident service interns through; [`TokenSet`]
-//!   stays as the byte-identical string reference,
+//!   used by the hot pipeline paths and extended in place as the resident
+//!   service ingests records; [`TokenSet`] stays as the byte-identical
+//!   string reference,
 //! - edit-based similarities — Levenshtein, Jaro, Jaro-Winkler — and the
 //!   hybrid Monge-Elkan measure ([`edit`], [`hybrid`]), used by the
 //!   Magellan-style feature builder,
@@ -29,6 +29,6 @@ pub mod tfidf;
 pub mod tokenize;
 
 pub use gower::{DistanceEngine, GowerSpace};
-pub use intern::{IdSet, ShardedInterner, TokenInterner};
+pub use intern::{IdSet, TokenInterner};
 pub use sets::TokenSet;
 pub use tokenize::{qgrams, tokens};

@@ -67,12 +67,6 @@ pub fn qgrams(text: &str, q: usize) -> Vec<String> {
     padded.windows(q).map(|w| w.iter().collect()).collect()
 }
 
-/// Splits an attribute value on whitespace only (no case folding) — used by
-/// generators that need to preserve original casing.
-pub fn whitespace_split(text: &str) -> Vec<&str> {
-    text.split_whitespace().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -553,11 +553,6 @@ pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
     value.to_json().to_json_string()
 }
 
-/// Serializes any [`ToJson`] value with pretty indentation.
-pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
-    value.to_json().to_json_string_pretty()
-}
-
 /// Parses a document and converts it to `T`.
 pub fn from_str<T: FromJson>(text: &str) -> Result<T, JsonError> {
     T::from_json(&Value::parse(text)?)
@@ -1020,7 +1015,7 @@ mod tests {
         let back: Demo = from_str(&json).unwrap();
         assert_eq!(back, d);
         // Pretty form parses identically.
-        let back: Demo = from_str(&to_string_pretty(&d)).unwrap();
+        let back: Demo = from_str(&d.to_json().to_json_string_pretty()).unwrap();
         assert_eq!(back, d);
     }
 

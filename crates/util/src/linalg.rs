@@ -37,11 +37,6 @@ pub fn dist2(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// Euclidean distance.
-pub fn dist(a: &[f64], b: &[f64]) -> f64 {
-    dist2(a, b).sqrt()
-}
-
 /// Cosine similarity of two vectors; `0.0` if either has zero norm.
 pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
     let na = norm(a);
@@ -62,14 +57,6 @@ pub fn cosine_f32(a: &[f32], b: &[f32]) -> f32 {
         0.0
     } else {
         (dot_f32(a, b) / (na * nb)).clamp(-1.0, 1.0)
-    }
-}
-
-/// `y += alpha * x`.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
     }
 }
 
@@ -153,7 +140,7 @@ mod tests {
     fn dot_and_norm() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(norm(&[3.0, 4.0]), 5.0);
-        assert_eq!(dist(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
+        assert_eq!(dist2(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
     }
 
     #[test]
@@ -196,12 +183,5 @@ mod tests {
         assert_eq!(s.a, 4.0);
         assert_eq!(s.c, 4.0);
         assert_eq!(s.b, 0.0);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, 4.0], &mut y);
-        assert_eq!(y, vec![7.0, 9.0]);
     }
 }

@@ -89,27 +89,27 @@ impl<T> TopK<T> {
     }
 }
 
-/// Convenience: indices of the `k` largest values in `scores`, best first.
-pub fn top_k_indices(scores: &[f64], k: usize) -> Vec<usize> {
-    let mut sel = TopK::new(k);
-    for (i, &s) in scores.iter().enumerate() {
-        sel.push(s, i);
-    }
-    sel.into_sorted().into_iter().map(|(_, i)| i).collect()
-}
-
-/// Indices of the `k` smallest values in `dists`, smallest first.
-pub fn bottom_k_indices(dists: &[f64], k: usize) -> Vec<usize> {
-    let mut sel = TopK::new(k);
-    for (i, &d) in dists.iter().enumerate() {
-        sel.push(-d, i);
-    }
-    sel.into_sorted().into_iter().map(|(_, i)| i).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Indices of the `k` largest values in `scores`, best first.
+    fn top_k_indices(scores: &[f64], k: usize) -> Vec<usize> {
+        let mut sel = TopK::new(k);
+        for (i, &s) in scores.iter().enumerate() {
+            sel.push(s, i);
+        }
+        sel.into_sorted().into_iter().map(|(_, i)| i).collect()
+    }
+
+    /// Indices of the `k` smallest values in `dists`, smallest first.
+    fn bottom_k_indices(dists: &[f64], k: usize) -> Vec<usize> {
+        let mut sel = TopK::new(k);
+        for (i, &d) in dists.iter().enumerate() {
+            sel.push(-d, i);
+        }
+        sel.into_sorted().into_iter().map(|(_, i)| i).collect()
+    }
 
     #[test]
     fn keeps_largest_in_order() {
