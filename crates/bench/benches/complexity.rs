@@ -2,7 +2,7 @@
 //! the streaming columnar
 //! [`DistanceEngine`](rlb_textsim::gower::DistanceEngine) kernels.
 //!
-//! Four jobs:
+//! Three jobs:
 //!
 //! - **Throughput**: points/sec and peak distance-buffer memory at the old
 //!   1500-point default cap.
@@ -12,9 +12,6 @@
 //!   the timing curve lands in the artifact with per-sample thread metadata.
 //! - **Baseline tracking**: the 20000-point exact run is compared against
 //!   the recorded pre-columnar baseline median.
-//! - **Estimator**: the landmark estimator assesses a ≥100k-point synthetic
-//!   set and its mean must land within the declared error bound of the
-//!   exact (subsampled-to-cap) twin's.
 //!
 //! Results go to `BENCH_complexity.json` (the CI smoke runs — one at
 //! `RLB_THREADS=1`, one at `=4` — assert the file carries the scaling curve
@@ -23,16 +20,14 @@
 //! (`rlb-complexity`'s unit tests, at this bench's former scales).
 //!
 //! Smoke knobs: `RLB_BENCH_SAMPLES` / `RLB_BENCH_WARMUP` (harness),
-//! `RLB_BENCH_POINTS` (thread-sweep scale, default 20000),
-//! `RLB_BENCH_ESTIMATOR_POINTS` (estimator scale, default 100000).
+//! `RLB_BENCH_POINTS` (thread-sweep scale, default 20000).
 
 use rlb_bench::timing::{group, host_cores, threads_metadata, Harness};
-use rlb_complexity::{compute, estimator_bound, ComplexityConfig, ComplexityReport};
+use rlb_complexity::{compute, ComplexityConfig, ComplexityReport};
 use rlb_textsim::gower::DistanceEngine;
 use rlb_util::json::Value;
 use rlb_util::Prng;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Median of the 20000-point exact run recorded by the last pre-columnar
 /// artifact (row-major scalar kernel, ragged bitset rows): the baseline the
@@ -193,58 +188,6 @@ fn sweep_threads(h: &mut Harness, points: usize) -> Vec<Value> {
     curve
 }
 
-/// Runs the landmark estimator against the exact twin on a large synthetic
-/// set: the estimator's 17-measure mean must land within the declared
-/// [`estimator_bound`] of the exact mean.
-fn bench_estimator(points: usize) -> Value {
-    let (xs, ys) = synthetic(points, 0.5, 0.25, 0x0E57 ^ points as u64);
-    let sample = (points / 25).clamp(400, 4_000);
-
-    let exact_cfg = ComplexityConfig::default();
-    let t = Instant::now();
-    let exact = compute(&xs, &ys, &exact_cfg).expect("exact compute");
-    let exact_s = t.elapsed().as_secs_f64();
-
-    let est_cfg = ComplexityConfig {
-        estimator_sample: Some(sample),
-        ..Default::default()
-    };
-    let t = Instant::now();
-    let est = compute(&xs, &ys, &est_cfg).expect("estimator compute");
-    let est_s = t.elapsed().as_secs_f64();
-
-    let bound = estimator_bound(sample);
-    let gap = (est.mean() - exact.mean()).abs();
-    assert!(
-        gap <= bound,
-        "estimator mean {:.5} strayed {gap:.5} from exact {:.5}, declared bound {bound:.5}",
-        est.mean(),
-        exact.mean()
-    );
-    let snap = rlb_obs::snapshot();
-    assert!(
-        snap.counter("complexity.estimator.sample") >= sample as u64,
-        "estimator runs must report their sample size to rlb-obs"
-    );
-    println!(
-        "  {points} points: exact {:.2}s (cap {}), estimator {:.2}s ({sample} landmarks); \
-         mean gap {gap:.5} within declared bound {bound:.5}",
-        exact_s, exact_cfg.max_points, est_s
-    );
-    Value::Obj(vec![
-        ("points".into(), Value::Num(points as f64)),
-        ("sample".into(), Value::Num(sample as f64)),
-        ("declared_bound".into(), Value::Num(bound)),
-        ("exact_mean".into(), Value::Num(exact.mean())),
-        ("estimator_mean".into(), Value::Num(est.mean())),
-        ("mean_gap".into(), Value::Num(gap)),
-        ("within_bound".into(), Value::Bool(true)),
-        ("exact_ms".into(), Value::Num(exact_s * 1e3)),
-        ("estimator_ms".into(), Value::Num(est_s * 1e3)),
-        ("estimator_speedup".into(), Value::Num(exact_s / est_s)),
-    ])
-}
-
 fn main() {
     rlb_obs::init();
     let mut h = Harness::new();
@@ -276,10 +219,6 @@ fn main() {
         baseline_fields.push(("speedup".into(), Value::Num(speedup)));
     }
 
-    group("landmark estimator vs exact twin");
-    let estimator_points = env_points("RLB_BENCH_ESTIMATOR_POINTS", 100_000);
-    let estimator = bench_estimator(estimator_points);
-
     let tile_rows = rlb_obs::snapshot().counter("complexity.tile.rows");
     assert!(
         tile_rows > 0,
@@ -294,7 +233,6 @@ fn main() {
         ("scales".into(), Value::Arr(scales)),
         ("scaling_curve".into(), Value::Arr(curve)),
         ("recorded_baseline".into(), Value::Obj(baseline_fields)),
-        ("estimator".into(), estimator),
         ("tile_rows".into(), Value::Num(tile_rows as f64)),
         ("tiles".into(), Value::Num(tiles as f64)),
     ];

@@ -147,12 +147,7 @@ impl EmbeddingNnBlocker {
     /// Embeds both sources into `(index, query)` arenas for `side`. The
     /// indexed side embeds first so a perturbation stream consumes records
     /// in the same order as every earlier revision of this blocker.
-    pub(crate) fn embed_arenas(
-        &self,
-        left: &Source,
-        right: &Source,
-        side: IndexSide,
-    ) -> (VecArena, VecArena) {
+    fn embed_arenas(&self, left: &Source, right: &Source, side: IndexSide) -> (VecArena, VecArena) {
         let embedder = HashedEmbedder::new(self.dim, 0xB10C);
         let mut perturb = (self.perturb_seed != 0).then(|| Prng::seed_from_u64(self.perturb_seed));
         let (indexed, queries) = match side {
@@ -178,32 +173,6 @@ impl EmbeddingNnBlocker {
         Retrieval {
             side,
             ranked: rank_queries(&index_arena, &query_arena, k_max),
-            k_max,
-        }
-    }
-
-    /// Runs IVF-probed retrieval: trains a coarse quantizer once over the
-    /// indexed side, then probes `params.nprobe` lists per query. At
-    /// `nprobe >= nlists` this is bitwise identical to [`Self::retrieve`].
-    pub fn retrieve_ann(
-        &self,
-        left: &Source,
-        right: &Source,
-        side: IndexSide,
-        k_max: usize,
-        params: IvfParams,
-    ) -> Retrieval {
-        let _span = rlb_obs::span!("blocking.retrieve", "ann nprobe={}", params.nprobe);
-        let (index_arena, query_arena) = self.embed_arenas(left, right, side);
-        let mut ivf = IvfIndex::new(params);
-        if index_arena.len() >= params.min_train {
-            ivf.train(&index_arena);
-        }
-        Retrieval {
-            side,
-            ranked: rlb_util::par::par_map_range(query_arena.len(), |qi| {
-                ivf.search(&index_arena, query_arena.get(qi), k_max, params.nprobe)
-            }),
             k_max,
         }
     }
@@ -552,15 +521,15 @@ mod tests {
             min_train: 64,
             ..Default::default()
         };
-        let ann = blocker.retrieve_ann(&left, &right, IndexSide::Right, 4, params);
-        // Identical texts embed identically; the probed list containing the
-        // query's own centroid holds all its duplicates.
-        assert!(ann.ranked[0].contains(&7));
-        // And an incremental index with the same knobs agrees exactly at
-        // exhaustive probing with the exact batch scan.
         let mut index = blocker.index_with(IndexSide::Right, params);
         index.insert_all(&right.records);
         assert!(index.ivf().trained());
+        let ann = index.retrieval_ann(&left.records, 4, None);
+        // Identical texts embed identically; the probed list containing the
+        // query's own centroid holds all its duplicates.
+        assert!(ann.ranked[0].contains(&7));
+        // And at exhaustive probing the index agrees exactly with the exact
+        // batch scan.
         let exact = blocker.retrieve(&left, &right, IndexSide::Right, 4);
         let exhaustive = index.retrieval_ann(&left.records, 4, Some(usize::MAX));
         assert_eq!(exact.ranked, exhaustive.ranked);

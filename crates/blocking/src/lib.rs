@@ -15,33 +15,19 @@
 //! - [`ivf`] — the std-only IVF approximate index (deterministic k-means
 //!   coarse quantizer + `nprobe`-controlled list probing) behind
 //!   [`NnIndex`], bitwise identical to the exact scan at exhaustive probing;
-//! - [`TokenBlocker`] / [`QGramBlocker`] — classical baselines used in the
-//!   ablation benches;
 //! - [`metrics`] — PC and PQ as defined in the blocking literature;
-//! - [`tuner`] — the grid search of Section VI step 2, extended to sweep
-//!   `nlists`/`nprobe` alongside `K`.
+//! - [`tuner`] — the grid search of Section VI step 2 over the blocked
+//!   attribute, cleaning, the indexed source and `K`.
 
 pub mod arena;
 pub mod cleaning;
 pub mod embed_nn;
 pub mod ivf;
 pub mod metrics;
-pub mod token;
 pub mod tuner;
 
 pub use arena::{VecArena, ZERO_NORM_SCORE};
 pub use embed_nn::{rank_queries, EmbeddingNnBlocker, IndexSide, NnIndex, Retrieval};
 pub use ivf::{IvfIndex, IvfParams};
 pub use metrics::{blocking_metrics, BlockingMetrics};
-pub use token::{QGramBlocker, TokenBlocker};
-pub use tuner::{tune, AnnChoice, AnnSweep, BlockerChoice, TunerConfig};
-
-use rlb_data::{PairRef, Source};
-
-/// A candidate-pair generator over two duplicate-free sources.
-pub trait Blocker {
-    /// Display name.
-    fn name(&self) -> String;
-    /// The candidate pairs (unique, unordered).
-    fn candidates(&self, left: &Source, right: &Source) -> Vec<PairRef>;
-}
+pub use tuner::{tune, BlockerChoice, TunerConfig};

@@ -1,48 +1,17 @@
 //! The Section-VI step-2 grid search: fine-tune the blocker for a minimum
 //! recall while maximizing precision.
 //!
-//! Hyperparameters swept (DeepBlocker's tuning surface in the paper, plus
-//! the ANN knobs): the blocked attribute (each individual attribute plus
-//! the schema-agnostic concatenation), cleaning on/off, the indexed source,
-//! `K`, and — when [`TunerConfig::ann`] is set — IVF `nlists`/`nprobe`
-//! retrieval modes next to the exact scan. For every configuration one
-//! ranked retrieval serves the whole `K` grid (candidate sets are
-//! prefixes); the selected configuration is the one minimizing the
-//! candidate count among those whose pair completeness reaches the floor —
-//! i.e. maximal PQ for the required PC — and, on equal candidate counts,
-//! the cheapest retrieval (smallest probed fraction of the index).
+//! Hyperparameters swept (DeepBlocker's tuning surface in the paper): the
+//! blocked attribute (each individual attribute plus the schema-agnostic
+//! concatenation), cleaning on/off, the indexed source and `K`. For every
+//! configuration one exact ranked retrieval serves the whole `K` grid
+//! (candidate sets are prefixes); the selected configuration is the one
+//! minimizing the candidate count among those whose pair completeness
+//! reaches the floor — i.e. maximal PQ for the required PC.
 
-use crate::arena::VecArena;
-use crate::embed_nn::{rank_queries, EmbeddingNnBlocker, IndexSide, Retrieval};
-use crate::ivf::{IvfIndex, IvfParams};
+use crate::embed_nn::{EmbeddingNnBlocker, IndexSide};
 use crate::metrics::{blocking_metrics, BlockingMetrics};
 use rlb_data::{PairRef, Source};
-
-/// ANN retrieval modes for the grid: each `nlists` value trains one coarse
-/// quantizer per configuration, each `nprobe` value is evaluated against
-/// it. Entries that degenerate (untrained index, `nprobe >= nlists`,
-/// duplicates) are skipped — the exact mode already covers them.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnnSweep {
-    /// List counts to try (`0` = auto `ceil(sqrt(n))`; duplicate entries
-    /// collapse to one training).
-    pub nlists: [usize; 2],
-    /// Probe counts to try per trained quantizer (`0` = skip the slot).
-    pub nprobes: [usize; 3],
-    /// Training threshold handed to [`IvfParams`] (small corpora below it
-    /// simply contribute no ANN modes).
-    pub min_train: usize,
-}
-
-impl Default for AnnSweep {
-    fn default() -> Self {
-        AnnSweep {
-            nlists: [0, 0],
-            nprobes: [4, 16, 64],
-            min_train: 64,
-        }
-    }
-}
 
 /// Grid-search settings.
 #[derive(Debug, Clone, Copy)]
@@ -59,9 +28,6 @@ pub struct TunerConfig {
     pub dim: usize,
     /// Base seed for the repetition perturbations.
     pub base_seed: u64,
-    /// IVF modes to sweep next to the exact scan (`None` = exact only,
-    /// the historical behaviour).
-    pub ann: Option<AnnSweep>,
 }
 
 impl Default for TunerConfig {
@@ -72,19 +38,8 @@ impl Default for TunerConfig {
             reps: 3,
             dim: 32,
             base_seed: 0xB10C_5EED,
-            ann: None,
         }
     }
-}
-
-/// The IVF mode a tuned choice retrieves with (`None` on [`BlockerChoice`]
-/// = exact scan).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AnnChoice {
-    /// Effective (trained) list count.
-    pub nlists: usize,
-    /// Probes per query.
-    pub nprobe: usize,
 }
 
 /// The tuned blocker choice plus its averaged quality — one row of Table V.
@@ -100,65 +55,11 @@ pub struct BlockerChoice {
     pub k: usize,
     /// Indexed source.
     pub side: IndexSide,
-    /// Selected retrieval mode: `None` = exact scan, `Some` = IVF probing.
-    pub ann: Option<AnnChoice>,
     /// PC/PQ/|C|/|P| averaged over the repetitions.
     pub metrics: BlockingMetrics,
     /// The candidate set of the first repetition (used downstream to build
     /// the benchmark).
     pub candidates: Vec<PairRef>,
-}
-
-/// All retrieval modes to evaluate for one embedded configuration: the
-/// exact scan first (cost 1.0 — the full index is visited), then every
-/// viable `(nlists, nprobe)` pair from the sweep, each with its probed
-/// fraction as cost. Degenerate ANN modes (corpus below `min_train`,
-/// `nprobe >= nlists`, duplicate knobs) are dropped — exact already covers
-/// them.
-fn retrieval_modes(
-    cfg: &TunerConfig,
-    index_arena: &VecArena,
-    query_arena: &VecArena,
-    k_max: usize,
-) -> Vec<(Vec<Vec<u32>>, Option<AnnChoice>, f64)> {
-    let mut modes = vec![(rank_queries(index_arena, query_arena, k_max), None, 1.0)];
-    let Some(sweep) = cfg.ann else {
-        return modes;
-    };
-    let mut seen_nlists = Vec::new();
-    for &nl in &sweep.nlists {
-        if seen_nlists.contains(&nl) {
-            continue;
-        }
-        seen_nlists.push(nl);
-        let mut ivf = IvfIndex::new(IvfParams {
-            nlists: nl,
-            min_train: sweep.min_train,
-            ..Default::default()
-        });
-        if index_arena.len() >= sweep.min_train {
-            ivf.train(index_arena);
-        }
-        if !ivf.trained() {
-            continue;
-        }
-        let mut seen_probes = Vec::new();
-        for &np in &sweep.nprobes {
-            if np == 0 || np >= ivf.nlists() || seen_probes.contains(&np) {
-                continue;
-            }
-            seen_probes.push(np);
-            let ranked = rlb_util::par::par_map_range(query_arena.len(), |qi| {
-                ivf.search(index_arena, query_arena.get(qi), k_max, np)
-            });
-            let ann = AnnChoice {
-                nlists: ivf.nlists(),
-                nprobe: np,
-            };
-            modes.push((ranked, Some(ann), np as f64 / ivf.nlists() as f64));
-        }
-    }
-    modes
 }
 
 /// Runs the grid search over a raw dataset pair with complete ground truth.
@@ -179,10 +80,9 @@ pub fn tune(
     );
     rlb_obs::counter_add("blocking.configs_searched", attributes.len() as u64 * 2 * 2);
 
-    // Best = (choice, achieves floor, retrieval cost) — minimize candidates
-    // among floor-achievers (cheapest probe fraction on ties); otherwise
-    // maximize PC.
-    let mut best: Option<(BlockerChoice, bool, f64)> = None;
+    // Best = (choice, achieves floor) — minimize candidates among
+    // floor-achievers; otherwise maximize PC.
+    let mut best: Option<(BlockerChoice, bool)> = None;
     for &attribute in &attributes {
         for clean in [false, true] {
             for side in [IndexSide::Left, IndexSide::Right] {
@@ -192,103 +92,77 @@ pub fn tune(
                     dim: cfg.dim,
                     perturb_seed: cfg.base_seed,
                 };
-                // One embedding pass serves the exact mode and every ANN
-                // mode of this configuration.
-                let (index_arena, query_arena) = blocker.embed_arenas(left, right, side);
-                for (ranked, ann, cost) in
-                    retrieval_modes(cfg, &index_arena, &query_arena, cfg.k_max)
-                {
-                    let retrieval = Retrieval {
-                        side,
-                        ranked,
-                        k_max: cfg.k_max,
+                let retrieval = blocker.retrieve(left, right, side, cfg.k_max);
+                // PC(K) from the rank of each match in its query's list.
+                let n_queries = retrieval.ranked.len();
+                let mut hits_at = vec![0usize; cfg.k_max + 1];
+                for m in matches {
+                    let (q, target) = match side {
+                        IndexSide::Right => (m.left as usize, m.right),
+                        IndexSide::Left => (m.right as usize, m.left),
                     };
-                    // PC(K) from the rank of each match in its query's list.
-                    let n_queries = retrieval.ranked.len();
-                    let mut hits_at = vec![0usize; cfg.k_max + 1];
-                    for m in matches {
-                        let (q, target) = match side {
-                            IndexSide::Right => (m.left as usize, m.right),
-                            IndexSide::Left => (m.right as usize, m.left),
-                        };
-                        if let Some(rank) = retrieval.ranked[q].iter().position(|&i| i == target) {
-                            hits_at[rank + 1] += 1;
-                        }
+                    if let Some(rank) = retrieval.ranked[q].iter().position(|&i| i == target) {
+                        hits_at[rank + 1] += 1;
                     }
-                    // Prefix sums: matches found within top-K.
-                    let mut cum = 0usize;
-                    let mut chosen_k = None;
-                    let mut best_pc_k = (0.0f64, 1usize);
-                    for (k, &hits) in hits_at.iter().enumerate().skip(1) {
-                        cum += hits;
-                        let pc = cum as f64 / matches.len().max(1) as f64;
-                        if pc >= cfg.min_recall {
-                            chosen_k = Some(k);
-                            break;
-                        }
-                        if pc > best_pc_k.0 {
-                            best_pc_k = (pc, k);
-                        }
+                }
+                // Prefix sums: the smallest K whose top-K reaches the floor;
+                // a configuration that never does is judged at `k_max`.
+                let mut cum = 0usize;
+                let mut chosen_k = None;
+                for (k, &hits) in hits_at.iter().enumerate().skip(1) {
+                    cum += hits;
+                    if cum as f64 / matches.len().max(1) as f64 >= cfg.min_recall {
+                        chosen_k = Some(k);
+                        break;
                     }
-                    let (k, achieves) = match chosen_k {
-                        Some(k) => (k, true),
-                        None => (best_pc_k.1.max(cfg.k_max), false),
+                }
+                let (k, achieves) = match chosen_k {
+                    Some(k) => (k, true),
+                    None => (cfg.k_max, false),
+                };
+                let better = match &best {
+                    None => true,
+                    Some((b, b_achieves)) => match (achieves, b_achieves) {
+                        (true, false) => true,
+                        (false, true) => false,
+                        (true, true) => n_queries * k < b.metrics.candidates,
+                        (false, false) => {
+                            // Compare best reachable PC.
+                            let cands = retrieval.candidates(k);
+                            blocking_metrics(&cands, matches).pc > b.metrics.pc
+                        }
+                    },
+                };
+                if better {
+                    let candidates = retrieval.candidates(k);
+                    let metrics = blocking_metrics(&candidates, matches);
+                    let attr_name = match attribute {
+                        None => "all".to_string(),
+                        Some(a) => left
+                            .attributes
+                            .get(a)
+                            .cloned()
+                            .unwrap_or_else(|| format!("attr{a}")),
                     };
-                    let cand_count = n_queries * k;
-                    let better = match &best {
-                        None => true,
-                        Some((b, b_achieves, b_cost)) => match (achieves, b_achieves) {
-                            (true, false) => true,
-                            (false, true) => false,
-                            (true, true) => {
-                                cand_count < b.metrics.candidates
-                                    || (cand_count == b.metrics.candidates && cost < *b_cost)
-                            }
-                            (false, false) => {
-                                // Compare best reachable PC.
-                                let pc_now = {
-                                    let cands = retrieval.candidates(k);
-                                    blocking_metrics(&cands, matches).pc
-                                };
-                                pc_now > b.metrics.pc
-                            }
+                    best = Some((
+                        BlockerChoice {
+                            attribute,
+                            attr_name,
+                            clean,
+                            k,
+                            side,
+                            metrics,
+                            candidates,
                         },
-                    };
-                    if better {
-                        let candidates = retrieval.candidates(k);
-                        let metrics = blocking_metrics(&candidates, matches);
-                        let attr_name = match attribute {
-                            None => "all".to_string(),
-                            Some(a) => left
-                                .attributes
-                                .get(a)
-                                .cloned()
-                                .unwrap_or_else(|| format!("attr{a}")),
-                        };
-                        best = Some((
-                            BlockerChoice {
-                                attribute,
-                                attr_name,
-                                clean,
-                                k,
-                                side,
-                                ann,
-                                metrics,
-                                candidates,
-                            },
-                            achieves,
-                            cost,
-                        ));
-                    }
+                        achieves,
+                    ));
                 }
             }
         }
     }
-    let (mut choice, _, _) = best.expect("grid is never empty");
+    let (mut choice, _) = best.expect("grid is never empty");
 
-    // Average PC/PQ over repetitions with different perturbation seeds,
-    // retrieving with the *chosen* mode so the averaged numbers describe
-    // what the selected configuration will actually do.
+    // Average PC/PQ over repetitions with different perturbation seeds.
     if cfg.reps > 1 {
         let mut pc_sum = choice.metrics.pc;
         let mut pq_sum = choice.metrics.pq;
@@ -301,21 +175,7 @@ pub fn tune(
                 dim: cfg.dim,
                 perturb_seed: cfg.base_seed ^ (rep as u64 * 0x9E37_79B9),
             };
-            let retrieval = match (choice.ann, cfg.ann) {
-                (Some(a), Some(sweep)) => blocker.retrieve_ann(
-                    left,
-                    right,
-                    choice.side,
-                    choice.k,
-                    IvfParams {
-                        nlists: a.nlists,
-                        nprobe: a.nprobe,
-                        min_train: sweep.min_train,
-                        ..Default::default()
-                    },
-                ),
-                _ => blocker.retrieve(left, right, choice.side, choice.k),
-            };
+            let retrieval = blocker.retrieve(left, right, choice.side, choice.k);
             let cands = retrieval.candidates(choice.k);
             let m = blocking_metrics(&cands, matches);
             pc_sum += m.pc;
@@ -418,54 +278,6 @@ mod tests {
         let choice = tune(&raw.left, &raw.right, &raw.matches, &cfg);
         assert!((0.0..=1.0).contains(&choice.metrics.pc));
         assert!((0.0..=1.0).contains(&choice.metrics.pq));
-    }
-
-    #[test]
-    fn ann_sweep_keeps_quality_and_records_mode() {
-        let raw = small_raw(0.1);
-        let base = TunerConfig {
-            reps: 1,
-            k_max: 16,
-            ..Default::default()
-        };
-        let exact = tune(&raw.left, &raw.right, &raw.matches, &base);
-        let swept = tune(
-            &raw.left,
-            &raw.right,
-            &raw.matches,
-            &TunerConfig {
-                ann: Some(AnnSweep::default()),
-                ..base
-            },
-        );
-        // The sweep only *adds* modes, so the floor stays reachable and the
-        // candidate count can never regress past the exact grid's best.
-        assert!(swept.metrics.pc >= 0.9, "pc {}", swept.metrics.pc);
-        assert!(swept.metrics.candidates <= exact.metrics.candidates);
-        if let Some(a) = swept.ann {
-            assert!(a.nprobe < a.nlists, "degenerate ANN modes are skipped");
-        }
-        assert!(exact.ann.is_none(), "no sweep -> exact mode");
-    }
-
-    #[test]
-    fn ann_sweep_is_deterministic() {
-        let raw = small_raw(0.3);
-        let cfg = TunerConfig {
-            reps: 1,
-            k_max: 8,
-            ann: Some(AnnSweep {
-                nlists: [8, 0],
-                nprobes: [1, 2, 4],
-                min_train: 64,
-            }),
-            ..Default::default()
-        };
-        let a = tune(&raw.left, &raw.right, &raw.matches, &cfg);
-        let b = tune(&raw.left, &raw.right, &raw.matches, &cfg);
-        assert_eq!(a.ann, b.ann);
-        assert_eq!(a.k, b.k);
-        assert_eq!(a.candidates, b.candidates);
     }
 
     #[test]

@@ -46,16 +46,6 @@ pub struct ComplexityConfig {
     pub max_points: usize,
     /// Seed for `n4` interpolation and subsampling.
     pub seed: u64,
-    /// Estimator mode for the O(n²) distance-based groups (neighborhood +
-    /// network): when `Some(m)` and the working set is larger than `m`,
-    /// those groups run on a further class-stratified subsample of `m`
-    /// points instead of the full set. The cheap distance-free groups
-    /// (balance, feature, linearity) always use the full working set. The
-    /// declared error bound for the sampled measures is
-    /// [`estimator_bound`]`(m)`; sample size and bound are reported through
-    /// the `complexity.estimator.*` counters. `None` (the default) keeps
-    /// every group exact.
-    pub estimator_sample: Option<usize>,
 }
 
 impl Default for ComplexityConfig {
@@ -65,24 +55,8 @@ impl Default for ComplexityConfig {
             n4_ratio: 1.0,
             max_points: 20_000,
             seed: 0xC0_11EC7,
-            estimator_sample: None,
         }
     }
-}
-
-/// Declared error bound for estimator mode with an `m`-point sample:
-/// `sqrt(ln(200) / m)`.
-///
-/// Rationale: the sampled measures are (mostly) means of per-point
-/// statistics bounded in `[0, 1]`, for which Hoeffding gives a two-sided
-/// 99% confidence half-width of `sqrt(ln(2/δ) / (2m))` with `δ = 0.01` —
-/// i.e. `sqrt(ln(200) / (2m))`. The declared bound drops the factor 2 in
-/// the denominator (inflating the band by √2) as a deliberate allowance
-/// for the measures that are *not* plain per-point means (`cls`, `hub`,
-/// `f1`), whose sampling error has no closed form. The benchmark suite
-/// checks the estimator-vs-exact gap against this bound end to end.
-pub fn estimator_bound(m: usize) -> f64 {
-    (200.0_f64.ln() / m as f64).sqrt()
 }
 
 /// All 17 measure values.
@@ -272,7 +246,6 @@ pub fn compute<R: AsRef<[f64]> + Sync + Clone>(
     rlb_obs::counter_add("complexity.points", features.len() as u64);
 
     let (xs, ys, c, f, l) = shared_measures(features, labels, cfg);
-    let (xs, ys) = estimator_take(xs, ys, cfg);
     let engine = DistanceEngine::fit(&xs).expect("non-empty");
     let mut rng = Prng::seed_from_u64(cfg.seed ^ 0x4E4);
     let nb = neighborhood::neighborhood_measures(&ys, &engine, cfg.n4_ratio, &mut rng);
@@ -300,7 +273,6 @@ fn compute_ragged<R: AsRef<[f64]> + Sync + Clone>(
     rlb_obs::counter_add("complexity.points", features.len() as u64);
 
     let (xs, ys, c, f, l) = shared_measures(features, labels, cfg);
-    let (xs, ys) = estimator_take(xs, ys, cfg);
 
     let gower = rlb_textsim::gower::GowerSpace::fit(&xs).expect("non-empty");
     let dists = testdata::pairwise(&gower, &xs);
@@ -329,37 +301,6 @@ pub fn compute_cs_js(
     cfg: &ComplexityConfig,
 ) -> Result<ComplexityReport> {
     compute(features, labels, cfg)
-}
-
-/// Applies estimator mode to the distance-based groups' working set: a
-/// class-stratified landmark subsample of `cfg.estimator_sample` points,
-/// drawn with a seed derived from `cfg.seed` so the run is deterministic
-/// and — because this happens in shared code on the identical working set —
-/// the streaming kernels and the tests' ragged reference still agree bit for
-/// bit. Records the sample size and declared bound ([`estimator_bound`])
-/// through `rlb-obs` counters (`complexity.estimator.sample`,
-/// `complexity.estimator.bound_ppm`).
-/// A no-op when estimator mode is off or the working set already fits.
-fn estimator_take<R: Clone>(
-    xs: Vec<R>,
-    ys: Vec<bool>,
-    cfg: &ComplexityConfig,
-) -> (Vec<R>, Vec<bool>) {
-    let Some(m) = cfg.estimator_sample else {
-        return (xs, ys);
-    };
-    if xs.len() <= m {
-        return (xs, ys);
-    }
-    let bound = estimator_bound(m);
-    let _span = rlb_obs::span!(
-        "complexity.estimator",
-        "{m} landmarks of {}, bound {bound:.4}",
-        xs.len()
-    );
-    rlb_obs::counter_add("complexity.estimator.sample", m as u64);
-    rlb_obs::counter_add("complexity.estimator.bound_ppm", (bound * 1e6) as u64);
-    stratified_subsample(&xs, &ys, m, cfg.seed ^ 0xE57)
 }
 
 /// Deterministic class-stratified subsample preserving class proportions.
@@ -708,78 +649,6 @@ mod tests {
             compute(&xs, &ys, &cfg).unwrap(),
             compute_cs_js(&pairs, &ys, &cfg).unwrap()
         );
-    }
-
-    #[test]
-    fn estimator_twins_stay_bit_identical() {
-        let (xs, ys) = separated(400, 0.5, 0.3, 21);
-        let cfg = ComplexityConfig {
-            estimator_sample: Some(120),
-            ..Default::default()
-        };
-        let a = compute(&xs, &ys, &cfg).unwrap();
-        let b = compute_ragged(&xs, &ys, &cfg).unwrap();
-        for ((name, va), (_, vb)) in a.values().iter().zip(b.values()) {
-            assert_eq!(va.to_bits(), vb.to_bits(), "{name}: {va} vs {vb}");
-        }
-    }
-
-    #[test]
-    fn estimator_tracks_exact_within_declared_bound() {
-        let (xs, ys) = separated(3000, 0.5, 0.3, 22);
-        let exact = compute(&xs, &ys, &ComplexityConfig::default()).unwrap();
-        let m = 800;
-        let cfg = ComplexityConfig {
-            estimator_sample: Some(m),
-            ..Default::default()
-        };
-        let est = compute(&xs, &ys, &cfg).unwrap();
-        let gap = (est.mean() - exact.mean()).abs();
-        let bound = estimator_bound(m);
-        assert!(
-            gap <= bound,
-            "gap {gap:.4} exceeds declared bound {bound:.4}"
-        );
-        // The distance-free groups never go through the landmark sample.
-        for (a, b) in [
-            (est.c1, exact.c1),
-            (est.c2, exact.c2),
-            (est.f1, exact.f1),
-            (est.l2, exact.l2),
-        ] {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn estimator_on_degenerate_graph_stays_defined() {
-        // Every point identical: all Gower distances are zero, so the ε-NN
-        // graph is complete — the degenerate extreme for the network
-        // measures — and every nearest-neighbour distance ties at zero.
-        let n = 60;
-        let xs = vec![vec![0.5, 0.5]; n];
-        let ys: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
-        let cfg = ComplexityConfig {
-            estimator_sample: Some(16),
-            ..Default::default()
-        };
-        let a = compute(&xs, &ys, &cfg).unwrap();
-        let b = compute_ragged(&xs, &ys, &cfg).unwrap();
-        for ((name, va), (_, vb)) in a.values().iter().zip(b.values()) {
-            assert!(va.is_finite(), "{name} = {va} not finite");
-            assert!((0.0..=1.0).contains(va), "{name} = {va} out of range");
-            assert_eq!(va.to_bits(), vb.to_bits(), "{name}: {va} vs {vb}");
-        }
-    }
-
-    #[test]
-    fn estimator_bound_shrinks_with_sample_size() {
-        assert!(estimator_bound(100) > estimator_bound(1000));
-        assert!(estimator_bound(4000) < 0.05);
-        // Declared bound is √2 wider than the plain Hoeffding half-width.
-        let m = 500;
-        let hoeffding = (200.0_f64.ln() / (2.0 * m as f64)).sqrt();
-        assert!((estimator_bound(m) - hoeffding * 2.0_f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -35,25 +35,12 @@ impl Default for RosterConfig {
 /// 12 DL configurations (5 methods × 2 epoch budgets, GNEM/HierMatcher use
 /// 10 instead of 15 as in the paper), Magellan × 4, ZeroER, 6 ESDE.
 ///
-/// The ESDE variants build their own task views on `fit`; use
-/// [`full_roster_cached`] to share one pre-built view cache across all six.
-pub fn full_roster(cfg: &RosterConfig) -> Vec<(MatcherFamily, Box<dyn Matcher + Send>)> {
-    roster_impl(cfg, None)
-}
-
-/// [`full_roster`] with the six ESDE variants sharing `views` — tokenization
-/// happens once per task instead of once per variant. `views` must have been
-/// built from the task the roster will run on.
+/// The six ESDE variants share `views`, so tokenization happens once per
+/// task instead of once per variant. `views` must have been built from the
+/// task the roster will run on.
 pub fn full_roster_cached(
     cfg: &RosterConfig,
     views: &TaskViewCache,
-) -> Vec<(MatcherFamily, Box<dyn Matcher + Send>)> {
-    roster_impl(cfg, Some(views))
-}
-
-fn roster_impl(
-    cfg: &RosterConfig,
-    views: Option<&TaskViewCache>,
 ) -> Vec<(MatcherFamily, Box<dyn Matcher + Send>)> {
     let [e_short, e_long] = cfg.dl_epochs;
     let dc = |epochs: usize| DeepConfig {
@@ -103,11 +90,10 @@ fn roster_impl(
     }
     v.push((MatcherFamily::NonLinearMl, Box::new(ZeroEr::new())));
     for variant in EsdeVariant::all() {
-        let esde = match views {
-            Some(cache) => Esde::with_views(variant, cache.clone()),
-            None => Esde::new(variant),
-        };
-        v.push((MatcherFamily::Linear, Box::new(esde)));
+        v.push((
+            MatcherFamily::Linear,
+            Box::new(Esde::with_views(variant, views.clone())),
+        ));
     }
     v
 }
@@ -121,9 +107,8 @@ fn roster_impl(
 /// [`rlb_util::par::par_map_vec`]: each worker claims the next configuration
 /// in roster order when it finishes one, and results come back in roster
 /// order. One [`TaskViewCache`] is built up front and shared by the six
-/// ESDE variants (SAQ-ESDE builds its q-gram views lazily on first use,
-/// SBQ-ESDE its per-attribute ones; two workers may build them side by
-/// side).
+/// ESDE variants. SAQ- and SBQ-ESDE each build their own q-gram views in
+/// `fit` and free them when their configuration finishes.
 pub fn run_roster(task: &MatchingTask, cfg: &RosterConfig) -> rlb_util::Result<Vec<MatcherRun>> {
     let _span = rlb_obs::span!("roster.run", "{}", task.name);
     let views = TaskViewCache::build(task);
@@ -154,10 +139,25 @@ pub fn run_roster(task: &MatchingTask, cfg: &RosterConfig) -> rlb_util::Result<V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rlb_data::Source;
+
+    /// The default line-up; it does not depend on the task, so the views of
+    /// an empty one serve.
+    fn line_up() -> Vec<(MatcherFamily, Box<dyn Matcher + Send>)> {
+        let task = MatchingTask {
+            name: "empty".into(),
+            left: Source::new("L", vec![]),
+            right: Source::new("R", vec![]),
+            train: vec![],
+            val: vec![],
+            test: vec![],
+        };
+        full_roster_cached(&RosterConfig::default(), &TaskViewCache::build(&task))
+    }
 
     #[test]
     fn roster_has_the_paper_line_up() {
-        let roster = full_roster(&RosterConfig::default());
+        let roster = line_up();
         assert_eq!(roster.len(), 12 + 4 + 1 + 6);
         let dl = roster
             .iter()
@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn names_are_unique() {
-        let roster = full_roster(&RosterConfig::default());
+        let roster = line_up();
         let mut names: Vec<String> = roster.iter().map(|(_, m)| m.name()).collect();
         names.sort();
         names.dedup();
@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn gnem_and_hiermatcher_use_their_default_budgets() {
-        let roster = full_roster(&RosterConfig::default());
+        let roster = line_up();
         let names: Vec<String> = roster.iter().map(|(_, m)| m.name()).collect();
         assert!(names.contains(&"GNEM (10)".to_string()));
         assert!(names.contains(&"HierMatcher (10)".to_string()));

@@ -9,7 +9,7 @@
 //! strictest sense — an axis-parallel threshold — which is exactly what
 //! makes its F1 a *difficulty estimate* for the benchmark.
 
-use crate::features::{TaskViewCache, ESDE_Q_RANGE};
+use crate::features::{QgramAttrViews, QgramViews, TaskViewCache};
 use crate::Matcher;
 use rlb_data::{LabeledPair, MatchingTask, PairRef};
 use rlb_embed::{cosine_sim, euclidean_sim, wasserstein_sim, SentenceEmbedder};
@@ -62,16 +62,16 @@ impl EsdeVariant {
 /// Embedding dimensionality for the sentence variants.
 const SENT_DIM: usize = 64;
 
-/// Record-level caches for one task, per variant family. Token and q-gram
-/// variants borrow the shared [`TaskViewCache`]; the sentence variants own
-/// their embeddings (no other consumer needs them).
+/// Record-level caches for one task, per variant family. Token variants
+/// borrow the shared [`TaskViewCache`]; the q-gram and sentence variants own
+/// their views (no other consumer needs them).
 enum Prepared {
     /// SA/SB: interned token views.
     Tokens(TaskViewCache),
-    /// SAQ: schema-agnostic q-gram views (built inside the shared cache).
-    QGrams(TaskViewCache),
-    /// SBQ: per-attribute q-gram views (built inside the shared cache).
-    QGramsPerAttr(TaskViewCache),
+    /// SAQ: schema-agnostic q-gram views.
+    QGrams(QgramViews),
+    /// SBQ: per-attribute q-gram views.
+    QGramsPerAttr(QgramAttrViews),
     Sentence {
         left: Vec<Vec<f32>>,
         right: Vec<Vec<f32>>,
@@ -111,7 +111,9 @@ impl Esde {
 
     /// Unfitted matcher sharing a pre-built view cache. The cache must have
     /// been built from the task later passed to `fit` — the roster runner
-    /// builds it once per task and hands clones to all six variants.
+    /// builds it once per task and hands clones to all six variants. Only
+    /// the token variants (SA, SB) read it; the q-gram and sentence
+    /// variants build their own views on `fit`.
     pub fn with_views(variant: EsdeVariant, cache: TaskViewCache) -> Self {
         Esde {
             cache: Some(cache),
@@ -135,16 +137,8 @@ impl Esde {
     fn prepare(&self, task: &MatchingTask) -> Prepared {
         match self.variant {
             EsdeVariant::SA | EsdeVariant::SB => Prepared::Tokens(self.cache_for(task)),
-            EsdeVariant::SAQ => {
-                let cache = self.cache_for(task);
-                cache.qgrams_full(task); // force the lazy build here, not per pair
-                Prepared::QGrams(cache)
-            }
-            EsdeVariant::SBQ => {
-                let cache = self.cache_for(task);
-                cache.qgrams_per_attr(task);
-                Prepared::QGramsPerAttr(cache)
-            }
+            EsdeVariant::SAQ => Prepared::QGrams(QgramViews::build(task)),
+            EsdeVariant::SBQ => Prepared::QGramsPerAttr(QgramAttrViews::build(task)),
             EsdeVariant::SAS => {
                 let embedder = fit_sentence_embedder(task);
                 let embed = |records: &[rlb_data::Record]| {
@@ -184,8 +178,7 @@ impl Esde {
                 EsdeVariant::SA => views.sa_features(p),
                 _ => views.sb_features(p),
             },
-            Prepared::QGrams(cache) => {
-                let qv = cache.qgrams_full_built();
+            Prepared::QGrams(qv) => {
                 let mut out = Vec::with_capacity(3 * qv.left[li].len());
                 for (a, b) in qv.left[li].iter().zip(&qv.right[ri]) {
                     out.push(intern::cosine(a, b));
@@ -194,11 +187,11 @@ impl Esde {
                 }
                 out
             }
-            Prepared::QGramsPerAttr(cache) => {
-                let qv = cache.qgrams_per_attr_built();
-                let mut out = Vec::with_capacity(3 * cache.arity * ESDE_Q_RANGE.count());
-                for attr in 0..cache.arity {
-                    for (a, b) in qv.left[li][attr].iter().zip(&qv.right[ri][attr]) {
+            Prepared::QGramsPerAttr(qv) => {
+                let (l, r) = (&qv.left[li], &qv.right[ri]);
+                let mut out = Vec::with_capacity(3 * l.iter().map(Vec::len).sum::<usize>());
+                for (la, ra) in l.iter().zip(r) {
+                    for (a, b) in la.iter().zip(ra) {
                         out.push(intern::cosine(a, b));
                         out.push(intern::dice(a, b));
                         out.push(intern::jaccard(a, b));

@@ -6,13 +6,16 @@
 //! dictionary-interned as [`IdSet`]s — integer merge joins instead of
 //! `String` comparisons — and [`TaskViewCache`] shares one build across
 //! every consumer so tokenization happens exactly once per record per
-//! pipeline run. The `String` token sets ([`TokenSet`], scored by
-//! [`rlb_textsim::sets`]) stay the reference: this module's tests rebuild
-//! them per record and check every interned score against them bit for bit.
+//! pipeline run. The character q-gram views ([`QgramViews`],
+//! [`QgramAttrViews`]) have a single consumer each, the ESDE q-gram
+//! variant that builds and owns them. The `String` sets ([`TokenSet`],
+//! scored by [`rlb_textsim::sets`]) stay the reference: this module's tests
+//! rebuild them per record and check every interned score against them bit
+//! for bit.
 
 use rlb_data::{MatchingTask, PairRef, Record};
 use rlb_textsim::{intern, sets, IdSet, TokenInterner, TokenSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Character q-gram lengths the ESDE q-gram variants sweep (Section IV-C).
 pub const ESDE_Q_RANGE: std::ops::RangeInclusive<usize> = 2..=10;
@@ -45,13 +48,12 @@ pub struct QgramAttrViews {
     pub right: Vec<Vec<Vec<IdSet>>>,
 }
 
-/// Both sources' interned views plus the arity, bundled per task.
+/// Both sources' interned token views plus the arity, bundled per task.
 ///
-/// Token views are built eagerly (every consumer needs them); the q-gram
-/// views the ESDE q-gram variants use are built lazily on first request and
-/// then shared — a roster run fitting SAQ- and SBQ-ESDE in parallel still
-/// tokenizes q-grams once. The token dictionary is private: only the build
-/// and [`TaskViewCache::extended`] intern through it.
+/// The token dictionary is private: only the build and
+/// [`TaskViewCache::extended`] intern through it. The q-gram views have one
+/// consumer each (SAQ- and SBQ-ESDE), which builds them itself with
+/// [`QgramViews::build`] or [`QgramAttrViews::build`].
 #[derive(Debug, Clone)]
 pub struct TaskViews {
     /// Left-source views.
@@ -61,8 +63,6 @@ pub struct TaskViews {
     /// Shared attribute count.
     pub arity: usize,
     interner: TokenInterner,
-    qgram_full: OnceLock<QgramViews>,
-    qgram_attr: OnceLock<QgramAttrViews>,
 }
 
 /// Tokenizes every record of a source in parallel: per-attribute token
@@ -140,8 +140,6 @@ impl TaskViews {
             right,
             arity,
             interner,
-            qgram_full: OnceLock::new(),
-            qgram_attr: OnceLock::new(),
         }
     }
 
@@ -189,76 +187,66 @@ impl TaskViews {
         }
         out
     }
+}
 
-    /// Schema-agnostic q-gram views (built on first call, then cached).
-    /// `task` must be the task the views were built from.
-    pub fn qgrams_full(&self, task: &MatchingTask) -> &QgramViews {
-        self.qgram_full.get_or_init(|| {
-            let mut interner = TokenInterner::new();
-            let mut build = |records: &[Record]| -> Vec<Vec<IdSet>> {
-                let grams = |r: &Record| -> Vec<Vec<String>> {
-                    let text = r.full_text();
-                    ESDE_Q_RANGE
-                        .map(|q| rlb_textsim::tokenize::qgrams(&text, q))
-                        .collect()
-                };
-                interned_in_chunks(records, grams, |per_q| {
-                    per_q
-                        .iter()
-                        .map(|g| IdSet::from_tokens(&mut interner, g.iter()))
-                        .collect()
-                })
+impl QgramViews {
+    /// Builds the schema-agnostic q-gram views of a task with a dictionary
+    /// of their own (generation parallel per chunk, interning sequential).
+    pub fn build(task: &MatchingTask) -> Self {
+        let mut interner = TokenInterner::new();
+        let mut build = |records: &[Record]| -> Vec<Vec<IdSet>> {
+            let grams = |r: &Record| -> Vec<Vec<String>> {
+                let text = r.full_text();
+                ESDE_Q_RANGE
+                    .map(|q| rlb_textsim::tokenize::qgrams(&text, q))
+                    .collect()
             };
-            QgramViews {
-                left: build(&task.left.records),
-                right: build(&task.right.records),
-            }
-        })
+            interned_in_chunks(records, grams, |per_q| {
+                per_q
+                    .iter()
+                    .map(|g| IdSet::from_tokens(&mut interner, g.iter()))
+                    .collect()
+            })
+        };
+        QgramViews {
+            left: build(&task.left.records),
+            right: build(&task.right.records),
+        }
     }
+}
 
-    /// Schema-based q-gram views (built on first call, then cached).
-    pub fn qgrams_per_attr(&self, task: &MatchingTask) -> &QgramAttrViews {
-        self.qgram_attr.get_or_init(|| {
-            let arity = self.arity;
-            let mut interner = TokenInterner::new();
-            let mut build = |records: &[Record]| -> Vec<Vec<Vec<IdSet>>> {
-                let grams = |r: &Record| -> Vec<Vec<Vec<String>>> {
-                    (0..arity)
-                        .map(|a| {
-                            ESDE_Q_RANGE
-                                .map(|q| rlb_textsim::tokenize::qgrams(r.value(a), q))
-                                .collect()
-                        })
-                        .collect()
-                };
-                interned_in_chunks(records, grams, |attrs| {
-                    attrs
-                        .iter()
-                        .map(|per_q| {
-                            per_q
-                                .iter()
-                                .map(|g| IdSet::from_tokens(&mut interner, g.iter()))
-                                .collect()
-                        })
-                        .collect()
-                })
+impl QgramAttrViews {
+    /// Builds the per-attribute q-gram views of a task with a dictionary of
+    /// their own, in the same order as [`QgramViews::build`].
+    pub fn build(task: &MatchingTask) -> Self {
+        let arity = task.left.arity().max(task.right.arity());
+        let mut interner = TokenInterner::new();
+        let mut build = |records: &[Record]| -> Vec<Vec<Vec<IdSet>>> {
+            let grams = |r: &Record| -> Vec<Vec<Vec<String>>> {
+                (0..arity)
+                    .map(|a| {
+                        ESDE_Q_RANGE
+                            .map(|q| rlb_textsim::tokenize::qgrams(r.value(a), q))
+                            .collect()
+                    })
+                    .collect()
             };
-            QgramAttrViews {
-                left: build(&task.left.records),
-                right: build(&task.right.records),
-            }
-        })
-    }
-
-    /// The q-gram views if already built (panics otherwise — callers must
-    /// have gone through [`TaskViews::qgrams_full`] during preparation).
-    pub fn qgrams_full_built(&self) -> &QgramViews {
-        self.qgram_full.get().expect("qgrams_full not built")
-    }
-
-    /// The per-attribute q-gram views if already built.
-    pub fn qgrams_per_attr_built(&self) -> &QgramAttrViews {
-        self.qgram_attr.get().expect("qgrams_per_attr not built")
+            interned_in_chunks(records, grams, |attrs| {
+                attrs
+                    .iter()
+                    .map(|per_q| {
+                        per_q
+                            .iter()
+                            .map(|g| IdSet::from_tokens(&mut interner, g.iter()))
+                            .collect()
+                    })
+                    .collect()
+            })
+        };
+        QgramAttrViews {
+            left: build(&task.left.records),
+            right: build(&task.right.records),
+        }
     }
 }
 
@@ -285,9 +273,7 @@ impl TaskViewCache {
     ///
     /// The last handle to the views is extended in place. A handle that is
     /// still shared is cloned first, so its other holders keep the views
-    /// they had. The q-gram views are not carried over: they intern through
-    /// their own per-build dictionary, so they rebuild lazily on first use
-    /// after an extension.
+    /// they had.
     ///
     /// # Panics
     /// If `task` has fewer records on either side than this cache covers,
@@ -310,8 +296,6 @@ impl TaskViewCache {
             let tail = tokenize_source(&records[side.full.len()..], arity);
             intern_into(tail, interner, side);
         }
-        views.qgram_full = OnceLock::new();
-        views.qgram_attr = OnceLock::new();
         TaskViewCache {
             views: Arc::new(views),
         }
@@ -437,18 +421,57 @@ mod tests {
         }
     }
 
+    /// Asserts that interned q-gram sets score every measure exactly as
+    /// their `String` reference does.
+    fn assert_qgram_pair_bitwise(a: &IdSet, b: &IdSet, sa: &TokenSet, sb: &TokenSet) {
+        for (i, s) in [
+            (intern::cosine(a, b), sets::cosine(sa, sb)),
+            (intern::dice(a, b), sets::dice(sa, sb)),
+            (intern::jaccard(a, b), sets::jaccard(sa, sb)),
+        ] {
+            assert_eq!(i.to_bits(), s.to_bits(), "{i} vs {s}");
+        }
+    }
+
+    #[test]
+    fn interned_qgram_views_equal_string_reference_bitwise() {
+        let task = small(0.4, 7);
+        let full = QgramViews::build(&task);
+        let attr = QgramAttrViews::build(&task);
+        let arity = task.left.arity().max(task.right.arity());
+        for lp in task.all_pairs() {
+            let p = lp.pair;
+            let (li, ri) = (p.left as usize, p.right as usize);
+            let (l, r) = task.records(p);
+            let (lt, rt) = (l.full_text(), r.full_text());
+            for (qi, q) in ESDE_Q_RANGE.enumerate() {
+                assert_qgram_pair_bitwise(
+                    &full.left[li][qi],
+                    &full.right[ri][qi],
+                    &TokenSet::from_qgrams(&lt, q),
+                    &TokenSet::from_qgrams(&rt, q),
+                );
+                for a in 0..arity {
+                    assert_qgram_pair_bitwise(
+                        &attr.left[li][a][qi],
+                        &attr.right[ri][a][qi],
+                        &TokenSet::from_qgrams(l.value(a), q),
+                        &TokenSet::from_qgrams(r.value(a), q),
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn qgram_views_build_once_and_cover_records() {
         let task = small(0.3, 8);
-        let cache = TaskViewCache::build(&task);
-        let qv = cache.qgrams_full(&task);
+        let qv = QgramViews::build(&task);
         assert_eq!(qv.left.len(), task.left.len());
         assert_eq!(qv.left[0].len(), ESDE_Q_RANGE.count());
-        // Second request returns the same allocation (lazy build is shared).
-        assert!(std::ptr::eq(qv, cache.qgrams_full_built()));
-        let qa = cache.qgrams_per_attr(&task);
+        let qa = QgramAttrViews::build(&task);
         assert_eq!(qa.right.len(), task.right.len());
-        assert_eq!(qa.right[0].len(), cache.arity);
+        assert_eq!(qa.right[0].len(), task.left.arity().max(task.right.arity()));
         assert_eq!(qa.right[0][0].len(), ESDE_Q_RANGE.count());
     }
 

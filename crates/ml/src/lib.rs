@@ -7,8 +7,6 @@
 //!   complexity measures;
 //! - [`DecisionTree`] (CART, Gini) and [`RandomForest`] — Magellan-DT /
 //!   Magellan-RF;
-//! - [`KnnClassifier`] — the nearest-neighbour complexity measures
-//!   (`n3`, `n4`);
 //! - [`GaussianMixture`] — the per-feature two-component EM mixture at the
 //!   heart of the ZeroER reimplementation;
 //! - [`metrics`] — precision / recall / F-measure as defined in Section II.
@@ -19,7 +17,6 @@
 
 pub mod forest;
 pub mod gmm;
-pub mod knn;
 pub mod logreg;
 pub mod metrics;
 pub mod scale;
@@ -28,7 +25,6 @@ pub mod tree;
 
 pub use forest::RandomForest;
 pub use gmm::GaussianMixture;
-pub use knn::KnnClassifier;
 pub use logreg::LogisticRegression;
 pub use metrics::{confusion, f1_score, BinaryMetrics};
 pub use scale::StandardScaler;

@@ -17,11 +17,20 @@
 //! committed baselines be compared at all. Spans capture the current trace
 //! at *open* (a request's spans keep its id even if they close after the
 //! scope guard), events at emission.
+//!
+//! Scopes are per thread: concurrent sessions each see only their own
+//! request's id, and a thread that pushed nothing (a `rlb_util::par`
+//! worker, say) stamps the run trace.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::{Arc, OnceLock};
 
 static RUN_TRACE: OnceLock<Arc<str>> = OnceLock::new();
-static SCOPED: Mutex<Vec<Arc<str>>> = Mutex::new(Vec::new());
+
+thread_local! {
+    static SCOPED: RefCell<Vec<Arc<str>>> = const { RefCell::new(Vec::new()) };
+}
 
 fn default_run_trace() -> Arc<str> {
     // Deterministic per binary: `rlb-serve`, `measures`, `fig2`, …
@@ -60,21 +69,21 @@ pub fn run_trace() -> Arc<str> {
     RUN_TRACE.get_or_init(default_run_trace).clone()
 }
 
-/// The trace id new spans and events are stamped with right now: the
-/// innermost [`push_trace`] scope, or the run trace outside any scope.
+/// The trace id new spans and events on this thread are stamped with right
+/// now: the thread's innermost [`push_trace`] scope, or the run trace
+/// outside any scope.
 pub fn current_trace() -> Arc<str> {
-    if let Ok(scoped) = SCOPED.lock() {
-        if let Some(top) = scoped.last() {
-            return top.clone();
-        }
-    }
-    run_trace()
+    SCOPED
+        .with_borrow(|scoped| scoped.last().cloned())
+        .unwrap_or_else(run_trace)
 }
 
-/// Scope guard restoring the previous trace id on drop.
+/// Scope guard restoring the previous trace id on drop. It is not `Send`:
+/// it must drop on the thread whose scope stack it pushed to.
 #[must_use = "the trace scope ends when this guard drops"]
 pub struct TraceScope {
     id: Arc<str>,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl TraceScope {
@@ -86,21 +95,25 @@ impl TraceScope {
 
 impl Drop for TraceScope {
     fn drop(&mut self) {
-        if let Ok(mut scoped) = SCOPED.lock() {
+        // `try_with`: a guard dropped during thread teardown may outlive
+        // the stack.
+        let _ = SCOPED.try_with(|scoped| {
+            let mut scoped = scoped.borrow_mut();
             if let Some(pos) = scoped.iter().rposition(|t| Arc::ptr_eq(t, &self.id)) {
                 scoped.remove(pos);
             }
-        }
+        });
     }
 }
 
-/// Makes `id` the current trace until the returned guard drops.
+/// Makes `id` this thread's current trace until the returned guard drops.
 pub fn push_trace(id: impl Into<String>) -> TraceScope {
     let id: Arc<str> = Arc::from(id.into().as_str());
-    if let Ok(mut scoped) = SCOPED.lock() {
-        scoped.push(id.clone());
+    SCOPED.with_borrow_mut(|scoped| scoped.push(id.clone()));
+    TraceScope {
+        id,
+        _thread_bound: PhantomData,
     }
-    TraceScope { id }
 }
 
 #[cfg(test)]
@@ -122,6 +135,36 @@ mod tests {
             assert_eq!(&*current_trace(), "req-a");
         }
         assert_eq!(current_trace(), base);
+    }
+
+    #[test]
+    fn concurrent_scopes_stamp_their_own_thread() {
+        use std::sync::Barrier;
+        let _guard = crate::test_env_lock().lock().unwrap();
+        let _ = crate::take_spans();
+        // A pushes its scope, then B pushes a newer one; only then does A
+        // open a span, while B's scope is still live.
+        let a_pushed = Barrier::new(2);
+        let b_pushed = Barrier::new(2);
+        let a_done = Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _scope = push_trace("run/s1/1");
+                a_pushed.wait();
+                b_pushed.wait();
+                drop(crate::span::span_start("test.session_a"));
+                a_done.wait();
+            });
+            s.spawn(|| {
+                a_pushed.wait();
+                let _scope = push_trace("run/s2/1");
+                b_pushed.wait();
+                a_done.wait();
+            });
+        });
+        let spans = crate::take_spans();
+        let a = spans.iter().find(|s| s.name == "test.session_a").unwrap();
+        assert_eq!(a.trace.as_deref(), Some("run/s1/1"));
     }
 
     #[test]

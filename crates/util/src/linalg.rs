@@ -31,12 +31,6 @@ pub fn norm_f32(a: &[f32]) -> f32 {
     dot_f32(a, a).sqrt()
 }
 
-/// Squared Euclidean distance.
-pub fn dist2(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
 /// Cosine similarity of two vectors; `0.0` if either has zero norm.
 pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
     let na = norm(a);
@@ -140,7 +134,6 @@ mod tests {
     fn dot_and_norm() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(norm(&[3.0, 4.0]), 5.0);
-        assert_eq!(dist2(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
     }
 
     #[test]
