@@ -1,7 +1,7 @@
 //! ANN blocking bench: IVF-probed retrieval vs the exact scan at scale.
 //!
 //! Builds a synthetic near-duplicate corpus (entities × corrupted variants),
-//! embeds it into a flat [`VecArena`], and measures:
+//! embeds it into a [`VecArena`], and measures:
 //!
 //! - **Exact baseline**: queries/sec of the parallel `rank_queries` kernel.
 //! - **IVF retrieval**: k-means training cost, then queries/sec and
@@ -155,7 +155,9 @@ fn search_all(
     nprobe: usize,
 ) -> Vec<Vec<u32>> {
     rlb_util::par::par_map_range(queries.len(), |qi| {
-        ivf.search(index, queries.get(qi), K, nprobe)
+        let mut q = vec![0.0; DIM];
+        queries.copy_out(qi, &mut q);
+        ivf.search(index, &q, K, nprobe)
     })
 }
 
@@ -340,12 +342,14 @@ fn incremental_twin() -> Vec<(String, Value)> {
         index.ivf().trains()
     );
     let batch = blocker.retrieve(&left, &right, IndexSide::Right, K);
-    let exhaustive = index.retrieval_ann(&left.records, K, Some(usize::MAX));
+    let mut queries = VecArena::new(DIM);
+    index.embed(&left.records, &mut queries);
+    let exhaustive = index.retrieval_ann(&queries, K, Some(usize::MAX));
     assert_eq!(
         exhaustive.ranked, batch.ranked,
         "incremental exhaustive-probe retrieval != batch retrieve"
     );
-    let probed = index.retrieval_ann(&left.records, K, None);
+    let probed = index.retrieval_ann(&queries, K, None);
     let recall = recall_at_k(&probed.ranked, &batch.ranked);
     println!(
         "  {RECORDS} records in 4 uneven batches, {} trains: exhaustive probe identical \
@@ -381,7 +385,7 @@ fn main() {
     let query_arena = embed_arena(&embedder, queries, |qi| query_tokens(qi, entities, queries));
     let embed_s = t.elapsed().as_secs_f64();
     println!(
-        "  embedded in {embed_s:.2}s; arena {} MiB flat",
+        "  embedded in {embed_s:.2}s; arena {} MiB in 8-vector blocks",
         index.bytes() / (1024 * 1024)
     );
 

@@ -1,13 +1,23 @@
-//! Flat columnar vector storage and the single cosine ranking kernel.
+//! Blocked columnar vector storage and the single cosine ranking kernel.
 //!
 //! Every nearest-neighbour path in this crate — [`rank_all`] for one query,
-//! the parallel exact scan over many, and the IVF probed scan — stores
-//! vectors in a [`VecArena`] (one contiguous `f32` buffer, one precomputed
-//! L2 norm per vector) and scores candidates through [`cosine_score`] in
-//! ascending-id order. Sharing the storage and the float-op sequence is
-//! what makes the twin guarantees *bitwise*: any two paths that visit the
-//! same ids in the same order produce identical rankings, whatever
-//! structure proposed the ids.
+//! the parallel exact scan over many, the k-means assignment
+//! ([`VecArena::nearest`]) and the IVF probed scan — stores vectors in a
+//! [`VecArena`] (one buffer of 8-vector blocks, one precomputed L2 norm per
+//! vector) and scores candidates through [`cosine_score`] in ascending-id
+//! order. Sharing the storage and the float-op sequence is what makes the
+//! twin guarantees *bitwise*: any two paths that visit the same ids in the
+//! same order produce identical rankings, whatever structure proposed the
+//! ids.
+//!
+//! **Lanes, bit for bit.** A full scan scores the query against a whole
+//! block at once: 8 independent accumulators, one per stored vector, each
+//! starting at `-0.0` and adding `q[i] * v[i]` for ascending `i`. That is
+//! exactly the float-op sequence of `rlb_util::linalg::dot_f32` (an `f32`
+//! `sum` starts at `-0.0`), so every lane's dot product — and the strided
+//! single-vector read of [`VecArena::score`] — equals `dot_f32(q, v)` bit
+//! for bit. The independent lanes are what lets the compiler vectorize the
+//! scan without reordering any sum.
 //!
 //! **Zero-norm policy.** Records with no text (or no q-grams) embed to the
 //! zero vector, whose cosine against anything is undefined. The kernel maps
@@ -17,7 +27,7 @@
 //! mid-list (the old kernel scored them 0.0, above genuinely dissimilar
 //! records) or feeding NaN into top-K selection.
 
-use rlb_util::linalg::{dot_f32, norm_f32};
+use rlb_util::linalg::norm_f32;
 use rlb_util::select::TopK;
 
 /// Score assigned to any (query, candidate) pair where either vector has
@@ -25,6 +35,9 @@ use rlb_util::select::TopK;
 /// rank last (ties broken by visit order, which every kernel keeps
 /// ascending by id).
 pub const ZERO_NORM_SCORE: f64 = -2.0;
+
+/// Vectors per block: the lane count of the scan kernel.
+const LANES: usize = 8;
 
 /// Cosine similarity from a precomputed dot product and the two norms,
 /// widened to `f64` for top-K selection. Zero-norm inputs get
@@ -38,17 +51,19 @@ pub fn cosine_score(dot: f32, norm_a: f32, norm_b: f32) -> f64 {
     }
 }
 
-/// A growable set of equal-dimension `f32` vectors in one flat buffer.
+/// A growable set of equal-dimension `f32` vectors in blocks of 8.
 ///
-/// Replaces the pointer-chasing `Vec<Vec<f32>>` the blocker used to keep:
-/// vector `i` lives at `data[i*dim .. (i+1)*dim]`, so a scan touches memory
-/// strictly sequentially, and `norms[i]` caches `norm_f32` of that slice
+/// Block `b` holds vectors `8b .. 8b + 8` dimension-major: `data[b * dim + i]`
+/// is component `i` of those 8 vectors, one per lane, and lanes past
+/// [`VecArena::len`] in the last block hold zeros. There is no second,
+/// row-major copy: [`VecArena::copy_out`] gathers one vector when a caller
+/// needs it whole. `norms[id]` caches `norm_f32` of the pushed vector
 /// (recomputing the norm of unchanged bytes is bit-stable, so cached and
 /// fresh norms are interchangeable).
 #[derive(Debug, Clone, Default)]
 pub struct VecArena {
     dim: usize,
-    data: Vec<f32>,
+    data: Vec<[f32; LANES]>,
     norms: Vec<f32>,
 }
 
@@ -88,29 +103,48 @@ impl VecArena {
         self.norms.is_empty()
     }
 
-    /// Bytes held by the flat buffers.
+    /// Bytes held by the buffers.
     pub fn bytes(&self) -> usize {
-        self.data.capacity() * 4 + self.norms.capacity() * 4
+        self.data.capacity() * std::mem::size_of::<[f32; LANES]>() + self.norms.capacity() * 4
+    }
+
+    /// Block `b`: `dim` rows of one component for each of its 8 lanes.
+    #[inline]
+    fn block(&self, b: usize) -> &[[f32; LANES]] {
+        &self.data[b * self.dim..(b + 1) * self.dim]
     }
 
     /// Appends one vector, returning its id.
     pub fn push(&mut self, v: &[f32]) -> u32 {
         assert_eq!(v.len(), self.dim, "vector width != arena dim");
-        self.data.extend_from_slice(v);
+        let id = self.len();
+        let lane = id % LANES;
+        if lane == 0 {
+            self.data.resize(self.data.len() + self.dim, [0.0; LANES]);
+        }
+        let start = self.data.len() - self.dim;
+        for (row, &x) in self.data[start..].iter_mut().zip(v) {
+            row[lane] = x;
+        }
         self.norms.push(norm_f32(v));
-        (self.norms.len() - 1) as u32
+        id as u32
     }
 
     /// Reserves room for `additional` more vectors.
     pub fn reserve(&mut self, additional: usize) {
-        self.data.reserve(additional * self.dim);
+        let rows = (self.len() + additional).div_ceil(LANES) * self.dim;
+        self.data.reserve(rows - self.data.len());
         self.norms.reserve(additional);
     }
 
-    /// The vector at `id`.
-    #[inline]
-    pub fn get(&self, id: usize) -> &[f32] {
-        &self.data[id * self.dim..(id + 1) * self.dim]
+    /// Copies the vector at `id` into `out`, whose length must be the
+    /// arena dimension.
+    pub fn copy_out(&self, id: usize, out: &mut [f32]) {
+        assert!(id < self.len(), "arena id {id} out of range");
+        assert_eq!(out.len(), self.dim, "output width != arena dim");
+        for (o, row) in out.iter_mut().zip(self.block(id / LANES)) {
+            *o = row[id % LANES];
+        }
     }
 
     /// The cached L2 norm of the vector at `id`.
@@ -119,28 +153,56 @@ impl VecArena {
         self.norms[id]
     }
 
-    /// Scores the stored vector `id` against a query with norm `qnorm`.
+    /// Scores the stored vector `id` against a query with norm `qnorm`,
+    /// reading its strided column in `dot_f32`'s order.
     #[inline]
     pub fn score(&self, id: usize, q: &[f32], qnorm: f32) -> f64 {
-        cosine_score(dot_f32(q, self.get(id)), qnorm, self.norm(id))
+        debug_assert_eq!(q.len(), self.dim);
+        let norm = self.norm(id);
+        let lane = id % LANES;
+        let dot = q
+            .iter()
+            .zip(self.block(id / LANES))
+            .map(|(x, row)| x * row[lane])
+            .sum();
+        cosine_score(dot, qnorm, norm)
+    }
+
+    /// Scores `q` (norm `qnorm`) against every stored vector, calling
+    /// `visit(id, score)` in ascending id order. See the module docs for
+    /// why each lane equals `dot_f32` bit for bit.
+    #[inline]
+    fn scan(&self, q: &[f32], qnorm: f32, mut visit: impl FnMut(u32, f64)) {
+        debug_assert_eq!(q.len(), self.dim);
+        for b in 0..self.len().div_ceil(LANES) {
+            let mut dots = [-0.0f32; LANES];
+            for (&x, row) in q.iter().zip(self.block(b)) {
+                for (dot, &v) in dots.iter_mut().zip(row) {
+                    *dot += x * v;
+                }
+            }
+            let first = b * LANES;
+            let lanes = (self.len() - first).min(LANES);
+            for (lane, &dot) in dots[..lanes].iter().enumerate() {
+                let id = first + lane;
+                visit(id as u32, cosine_score(dot, qnorm, self.norms[id]));
+            }
+        }
     }
 
     /// Id of the best-scoring stored vector for `q` (ties keep the lowest
-    /// id; `None` only when the arena is empty). This is the k-means
-    /// assignment primitive: a plain ascending scan, deterministic at any
-    /// thread count because each call is independent.
+    /// id: a later id must score strictly higher; `None` only when the
+    /// arena is empty). This is the k-means assignment primitive: a plain
+    /// ascending scan, deterministic at any thread count because each call
+    /// is independent.
     pub fn nearest(&self, q: &[f32], qnorm: f32) -> Option<u32> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut best = (self.score(0, q, qnorm), 0u32);
-        for id in 1..self.len() {
-            let s = self.score(id, q, qnorm);
-            if s > best.0 {
-                best = (s, id as u32);
+        let mut best: Option<(f64, u32)> = None;
+        self.scan(q, qnorm, |id, score| {
+            if best.is_none_or(|(top, _)| score > top) {
+                best = Some((score, id));
             }
-        }
-        Some(best.1)
+        });
+        best.map(|(_, id)| id)
     }
 }
 
@@ -150,11 +212,8 @@ impl VecArena {
 /// order when it covers the same id set. `k_max` may be arbitrarily large
 /// (it can come off the wire): the heap is sized by the ids it can retain.
 pub fn rank_all(arena: &VecArena, q: &[f32], k_max: usize) -> Vec<u32> {
-    let qnorm = norm_f32(q);
     let mut top = TopK::new(k_max.min(arena.len()));
-    for id in 0..arena.len() {
-        top.push(arena.score(id, q, qnorm), id as u32);
-    }
+    arena.scan(q, norm_f32(q), |id, score| top.push(score, id));
     top.into_sorted().into_iter().map(|(_, id)| id).collect()
 }
 
@@ -175,9 +234,16 @@ pub fn rank_subset(arena: &VecArena, ids: &[u32], q: &[f32], k_max: usize) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rlb_util::linalg::dot_f32;
 
     fn arena(rows: &[&[f32]]) -> VecArena {
         VecArena::from_rows(rows[0].len(), rows.iter().map(|r| r.to_vec()))
+    }
+
+    fn row(a: &VecArena, id: usize) -> Vec<f32> {
+        let mut v = vec![0.0; a.dim()];
+        a.copy_out(id, &mut v);
+        v
     }
 
     #[test]
@@ -187,7 +253,8 @@ mod tests {
         assert_eq!(a.push(&[3.0, 4.0]), 0);
         assert_eq!(a.push(&[1.0, 0.0]), 1);
         assert_eq!(a.len(), 2);
-        assert_eq!(a.get(0), &[3.0, 4.0]);
+        assert_eq!(row(&a, 0), [3.0, 4.0]);
+        assert_eq!(row(&a, 1), [1.0, 0.0]);
         assert_eq!(a.norm(0), 5.0);
         assert_eq!(a.norm(1), 1.0);
     }
@@ -204,7 +271,7 @@ mod tests {
         let q = [1.0f32, 0.0];
         let qn = norm_f32(&q);
         for id in 0..a.len() {
-            let want = rlb_util::linalg::cosine_f32(&q, a.get(id)) as f64;
+            let want = rlb_util::linalg::cosine_f32(&q, &row(&a, id)) as f64;
             assert_eq!(a.score(id, &q, qn).to_bits(), want.to_bits(), "id {id}");
         }
     }
@@ -248,5 +315,112 @@ mod tests {
         let q = [2.0f32, 0.0];
         assert_eq!(a.nearest(&q, norm_f32(&q)), Some(0));
         assert_eq!(VecArena::new(2).nearest(&q, 2.0), None);
+    }
+
+    /// The per-vector reference the lane kernel must reproduce: every id
+    /// in ascending order, scored with `cosine_score(dot_f32(q, row), …)`
+    /// on the row as pushed.
+    fn reference_scan(rows: &[Vec<f32>], q: &[f32]) -> Vec<(u32, f64)> {
+        let qnorm = norm_f32(q);
+        rows.iter()
+            .enumerate()
+            .map(|(id, row)| {
+                (
+                    id as u32,
+                    cosine_score(dot_f32(q, row), qnorm, norm_f32(row)),
+                )
+            })
+            .collect()
+    }
+
+    /// Rows exercising every case the lanes must keep: random vectors,
+    /// zero vectors, signed-zero rows whose products against
+    /// [`signed_zero_query`] are all `-0.0` (so the dot product is `-0.0`
+    /// only when the accumulator starts at `-0.0`), and exact duplicates
+    /// of the previous row, which tie.
+    fn twin_rows(len: usize, dim: usize, rng: &mut rlb_util::Prng) -> Vec<Vec<f32>> {
+        let mut rows: Vec<Vec<f32>> = Vec::with_capacity(len);
+        for id in 0..len {
+            let row = match id % 5 {
+                1 => vec![0.0; dim],
+                2 => (0..dim)
+                    .map(|i| if i % 2 == 0 { -0.0 } else { 0.5 + rng.f32() })
+                    .collect(),
+                3 => rows[id - 1].clone(),
+                _ => (0..dim).map(|_| rng.f32() * 2.0 - 1.0).collect(),
+            };
+            rows.push(row);
+        }
+        rows
+    }
+
+    fn signed_zero_query(dim: usize) -> Vec<f32> {
+        (0..dim)
+            .map(|i| if i % 2 == 0 { 1.0 } else { -0.0 })
+            .collect()
+    }
+
+    #[test]
+    fn lane_kernel_twins_the_per_vector_reference_bitwise() {
+        let mut rng = rlb_util::Prng::seed_from_u64(0x1A4E);
+        let mut saw_negative_zero = false;
+        for dim in [1, 5, 32] {
+            for len in 0..=33 {
+                let rows = twin_rows(len, dim, &mut rng);
+                let a = VecArena::from_rows(dim, rows.clone());
+                for (id, want) in rows.iter().enumerate() {
+                    assert_eq!(&row(&a, id), want, "copy_out dim {dim} len {len} id {id}");
+                }
+                let random: Vec<f32> = (0..dim).map(|_| rng.f32() * 2.0 - 1.0).collect();
+                let all_ids: Vec<u32> = (0..len as u32).collect();
+                for q in [signed_zero_query(dim), random, vec![0.0; dim]] {
+                    let qnorm = norm_f32(&q);
+                    let want = reference_scan(&rows, &q);
+                    let bits = |scores: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                        scores.iter().map(|&(id, s)| (id, s.to_bits())).collect()
+                    };
+                    saw_negative_zero |= want
+                        .iter()
+                        .any(|&(_, s)| s.to_bits() == (-0.0f64).to_bits());
+                    let ctx = format!("dim {dim} len {len} q {q:?}");
+
+                    let mut lanes = Vec::new();
+                    a.scan(&q, qnorm, |id, s| lanes.push((id, s)));
+                    assert_eq!(bits(&lanes), bits(&want), "scan, {ctx}");
+                    let strided: Vec<(u32, f64)> = (0..len)
+                        .map(|id| (id as u32, a.score(id, &q, qnorm)))
+                        .collect();
+                    assert_eq!(bits(&strided), bits(&want), "score, {ctx}");
+
+                    for k in [3, len] {
+                        let mut top = TopK::new(k.min(len));
+                        for &(id, s) in &want {
+                            top.push(s, id);
+                        }
+                        let ranked: Vec<u32> =
+                            top.into_sorted().into_iter().map(|(_, id)| id).collect();
+                        assert_eq!(rank_all(&a, &q, k), ranked, "rank_all k {k}, {ctx}");
+                        assert_eq!(
+                            rank_subset(&a, &all_ids, &q, k),
+                            ranked,
+                            "rank_subset k {k}, {ctx}"
+                        );
+                    }
+
+                    let mut best: Option<(f64, u32)> = None;
+                    for &(id, s) in &want {
+                        if best.is_none_or(|(top, _)| s > top) {
+                            best = Some((s, id));
+                        }
+                    }
+                    assert_eq!(
+                        a.nearest(&q, qnorm),
+                        best.map(|(_, id)| id),
+                        "nearest, {ctx}"
+                    );
+                }
+            }
+        }
+        assert!(saw_negative_zero, "some reference score is -0.0");
     }
 }

@@ -9,7 +9,7 @@
 //! run-to-run variance of the original's stochastic training (the paper
 //! averages 10 repetitions).
 //!
-//! Vectors live in a flat [`VecArena`] (not `Vec<Vec<f32>>`), the exact
+//! Vectors live in a blocked [`VecArena`] (not `Vec<Vec<f32>>`), the exact
 //! kernel fans out over queries through [`rlb_util::par`], and the resident
 //! [`NnIndex`] carries an [`IvfIndex`] so large corpora can be probed
 //! approximately ([`NnIndex::retrieval_ann`]) while the exact paths stay
@@ -120,17 +120,18 @@ impl EmbeddingNnBlocker {
         v
     }
 
-    /// Embeds a record slice into a flat arena. Deterministic configs embed
-    /// in parallel (each vector depends only on its own record); a perturbed
-    /// config draws from one `Prng` sequenced across records, so it must
-    /// stay serial to preserve the per-seed stream.
-    fn embed_arena(
+    /// Embeds a record slice, appending the vectors to `arena` in record
+    /// order. Deterministic configs embed in parallel (each vector depends
+    /// only on its own record); a perturbed config draws from one `Prng`
+    /// sequenced across records, so it must stay serial to preserve the
+    /// per-seed stream.
+    fn embed_into(
         &self,
         embedder: &HashedEmbedder,
         records: &[Record],
         mut perturb: Option<&mut Prng>,
-    ) -> VecArena {
-        let mut arena = VecArena::new(self.dim);
+        arena: &mut VecArena,
+    ) {
         arena.reserve(records.len());
         if perturb.is_some() {
             for r in records {
@@ -141,7 +142,6 @@ impl EmbeddingNnBlocker {
                 arena.push(&v);
             }
         }
-        arena
     }
 
     /// Embeds both sources into `(index, query)` arenas for `side`. The
@@ -154,8 +154,10 @@ impl EmbeddingNnBlocker {
             IndexSide::Left => (&left.records, &right.records),
             IndexSide::Right => (&right.records, &left.records),
         };
-        let index_arena = self.embed_arena(&embedder, indexed, perturb.as_mut());
-        let query_arena = self.embed_arena(&embedder, queries, perturb.as_mut());
+        let mut index_arena = VecArena::new(self.dim);
+        self.embed_into(&embedder, indexed, perturb.as_mut(), &mut index_arena);
+        let mut query_arena = VecArena::new(self.dim);
+        self.embed_into(&embedder, queries, perturb.as_mut(), &mut query_arena);
         (index_arena, query_arena)
     }
 
@@ -212,7 +214,17 @@ impl EmbeddingNnBlocker {
 /// bitwise identical to ranking the queries one by one with [`rank_all`] at
 /// any thread count.
 pub fn rank_queries(index: &VecArena, queries: &VecArena, k_max: usize) -> Vec<Vec<u32>> {
-    rlb_util::par::par_map_range(queries.len(), |qi| rank_all(index, queries.get(qi), k_max))
+    per_query(queries, |q| rank_all(index, q, k_max))
+}
+
+/// `rank(q)` for every vector `q` of `queries`, in order, parallel over
+/// queries.
+fn per_query(queries: &VecArena, rank: impl Fn(&[f32]) -> Vec<u32> + Sync) -> Vec<Vec<u32>> {
+    rlb_util::par::par_map_range(queries.len(), |qi| {
+        let mut q = vec![0.0; queries.dim()];
+        queries.copy_out(qi, &mut q);
+        rank(&q)
+    })
 }
 
 /// An incrementally insertable embedding index over one source.
@@ -220,20 +232,22 @@ pub fn rank_queries(index: &VecArena, queries: &VecArena, k_max: usize) -> Vec<V
 /// The batch [`EmbeddingNnBlocker::retrieve`] embeds both sources and ranks
 /// in one pass, then throws everything away — unusable for a resident
 /// engine that ingests records over time. `NnIndex` keeps the indexed side's
-/// vectors in a flat [`VecArena`], maintains an [`IvfIndex`] over them via
+/// vectors in a [`VecArena`], maintains an [`IvfIndex`] over them via
 /// the per-insert policy (train at `min_train`, assign afterwards, re-train
 /// on growth — see [`crate::ivf`]), and supports appending records one batch
-/// at a time; queries rank against the vectors present at call time.
+/// at a time. Queries are embedded once through [`NnIndex::embed`], so a
+/// caller can keep them resident, and rank against the vectors present at
+/// call time.
 ///
 /// **Twin guarantee.** With deterministic embeddings (`perturb_seed = 0`,
 /// enforced at construction) each record's vector depends only on its own
 /// text, and exact ranking goes through the same [`rank_queries`] kernel as
 /// the batch path in the same insertion order — so after any sequence of
-/// inserts, [`NnIndex::retrieval`] is *identical* (ids and order, hence
-/// bitwise) to a from-scratch [`EmbeddingNnBlocker::retrieve`] over the same
-/// records, and [`NnIndex::retrieval_ann`] at exhaustive `nprobe` matches
-/// both. Asserted in tests, the service property suite, and the blocking
-/// bench.
+/// inserts, [`NnIndex::retrieval`] of the embedded query records is
+/// *identical* (ids and order, hence bitwise) to a from-scratch
+/// [`EmbeddingNnBlocker::retrieve`] over the same records, and
+/// [`NnIndex::retrieval_ann`] at exhaustive `nprobe` matches both. Asserted
+/// in tests, the service property suite, and the blocking bench.
 ///
 /// The index only grows: the resident engine's record store is append-only,
 /// so no indexed record is ever removed.
@@ -280,45 +294,42 @@ impl NnIndex {
         }
     }
 
-    fn query_arena(&self, queries: &[Record]) -> VecArena {
-        let mut arena = VecArena::new(self.config.dim);
-        arena.reserve(queries.len());
-        for v in rlb_util::par::par_map(queries, |r| self.config.embed(&self.embedder, r, None)) {
-            arena.push(&v);
-        }
-        arena
+    /// Embeds `records` under this index's configuration and appends their
+    /// vectors to `queries`, in record order: the queries that
+    /// [`Self::retrieval`] and [`Self::retrieval_ann`] rank. Each vector
+    /// depends only on its own record, so queries embedded over any
+    /// sequence of calls equal one call over all the records.
+    pub fn embed(&self, records: &[Record], queries: &mut VecArena) {
+        self.config
+            .embed_into(&self.embedder, records, None, queries);
     }
 
-    /// Full exact retrieval for a query set — the incremental twin of
+    /// Full exact retrieval for embedded queries — the incremental twin of
     /// [`EmbeddingNnBlocker::retrieve`] over the records inserted so far,
     /// through the shared [`rank_queries`] kernel bit for bit.
-    pub fn retrieval(&self, queries: &[Record], k_max: usize) -> Retrieval {
+    pub fn retrieval(&self, queries: &VecArena, k_max: usize) -> Retrieval {
         let _span = rlb_obs::span!("blocking.retrieve", "index exact k_max={k_max}");
         Retrieval {
             side: self.side,
-            ranked: rank_queries(&self.arena, &self.query_arena(queries), k_max),
+            ranked: rank_queries(&self.arena, queries, k_max),
             k_max,
         }
     }
 
-    /// Full IVF-probed retrieval for a query set. At exhaustive `nprobe`
-    /// (`>= nlists`, e.g. `Some(usize::MAX)`) the result is bitwise
-    /// identical to [`Self::retrieval`].
+    /// Full IVF-probed retrieval for embedded queries. At exhaustive
+    /// `nprobe` (`>= nlists`, e.g. `Some(usize::MAX)`) the result is
+    /// bitwise identical to [`Self::retrieval`].
     pub fn retrieval_ann(
         &self,
-        queries: &[Record],
+        queries: &VecArena,
         k_max: usize,
         nprobe: Option<usize>,
     ) -> Retrieval {
         let nprobe = nprobe.unwrap_or(self.ivf.params().nprobe);
         let _span = rlb_obs::span!("blocking.retrieve", "index ann nprobe={nprobe}");
-        let query_arena = self.query_arena(queries);
         Retrieval {
             side: self.side,
-            ranked: rlb_util::par::par_map_range(query_arena.len(), |qi| {
-                self.ivf
-                    .search(&self.arena, query_arena.get(qi), k_max, nprobe)
-            }),
+            ranked: per_query(queries, |q| self.ivf.search(&self.arena, q, k_max, nprobe)),
             k_max,
         }
     }
@@ -406,6 +417,13 @@ mod tests {
         assert_eq!(b.candidates(4), c.candidates(4));
     }
 
+    /// `records` embedded as queries of `index`.
+    fn embedded(index: &NnIndex, records: &[Record]) -> VecArena {
+        let mut queries = VecArena::new(EmbeddingNnBlocker::default().dim);
+        index.embed(records, &mut queries);
+        queries
+    }
+
     /// Retrievals must agree exactly: same side, same k, same ranked ids in
     /// the same order.
     fn assert_same_retrieval(a: &Retrieval, b: &Retrieval) {
@@ -430,12 +448,13 @@ mod tests {
                 index.insert(rec);
             }
             assert_eq!(index.len(), indexed.len());
-            let incremental = index.retrieval(&queries.records, 3);
+            let queries = embedded(&index, &queries.records);
+            let incremental = index.retrieval(&queries, 3);
             let batch = blocker.retrieve(&l, &r, side, 3);
             assert_same_retrieval(&incremental, &batch);
             assert_eq!(incremental.candidates(2), batch.candidates(2));
             // The ANN path at exhaustive probing is the same bits again.
-            let ann = index.retrieval_ann(&queries.records, 3, Some(usize::MAX));
+            let ann = index.retrieval_ann(&queries, 3, Some(usize::MAX));
             assert_same_retrieval(&ann, &batch);
         }
     }
@@ -468,8 +487,12 @@ mod tests {
         let blocker = EmbeddingNnBlocker::default();
         let (index, queries) = blocker.embed_arenas(&left, &right, IndexSide::Right);
         assert_eq!(queries.len(), QUERIES);
+        let mut q = vec![0.0; queries.dim()];
         let serial: Vec<Vec<u32>> = (0..queries.len())
-            .map(|q| rank_all(&index, queries.get(q), 4))
+            .map(|qi| {
+                queries.copy_out(qi, &mut q);
+                rank_all(&index, &q, 4)
+            })
             .collect();
         assert_eq!(rank_queries(&index, &queries, 4), serial);
     }
@@ -496,13 +519,8 @@ mod tests {
         // ranking is pure insertion order — deterministic, no NaN.
         let mut index = blocker.index(IndexSide::Right);
         index.insert_all(&right.records);
-        let empty_query = Record::new(0, vec!["".into()]);
-        assert_eq!(
-            index
-                .retrieval(std::slice::from_ref(&empty_query), 3)
-                .ranked,
-            vec![vec![0, 1, 2]]
-        );
+        let empty_query = embedded(&index, &[Record::new(0, vec!["".into()])]);
+        assert_eq!(index.retrieval(&empty_query, 3).ranked, vec![vec![0, 1, 2]]);
     }
 
     #[test]
@@ -524,14 +542,15 @@ mod tests {
         let mut index = blocker.index_with(IndexSide::Right, params);
         index.insert_all(&right.records);
         assert!(index.ivf().trained());
-        let ann = index.retrieval_ann(&left.records, 4, None);
+        let queries = embedded(&index, &left.records);
+        let ann = index.retrieval_ann(&queries, 4, None);
         // Identical texts embed identically; the probed list containing the
         // query's own centroid holds all its duplicates.
         assert!(ann.ranked[0].contains(&7));
         // And at exhaustive probing the index agrees exactly with the exact
         // batch scan.
         let exact = blocker.retrieve(&left, &right, IndexSide::Right, 4);
-        let exhaustive = index.retrieval_ann(&left.records, 4, Some(usize::MAX));
+        let exhaustive = index.retrieval_ann(&queries, 4, Some(usize::MAX));
         assert_eq!(exact.ranked, exhaustive.ranked);
     }
 
@@ -540,16 +559,16 @@ mod tests {
         let (l, r) = sources();
         let mut index = EmbeddingNnBlocker::default().index(IndexSide::Right);
         index.insert_all(&r.records);
-        let full = index.retrieval(&l.records, 2);
+        let full = index.retrieval(&embedded(&index, &l.records), 2);
         for q in 0..l.len() {
-            let one = &l.records[q..=q];
+            let one = embedded(&index, &l.records[q..=q]);
             assert_eq!(
-                index.retrieval(one, 2).ranked,
+                index.retrieval(&one, 2).ranked,
                 [full.ranked[q].clone()],
                 "query {q}"
             );
             assert_eq!(
-                index.retrieval_ann(one, 2, Some(usize::MAX)).ranked,
+                index.retrieval_ann(&one, 2, Some(usize::MAX)).ranked,
                 [full.ranked[q].clone()],
                 "ann query {q}"
             );
@@ -561,10 +580,11 @@ mod tests {
         let (l, _) = sources();
         let index = EmbeddingNnBlocker::default().index(IndexSide::Right);
         assert!(index.is_empty());
-        let ret = index.retrieval(&l.records, 3);
+        let queries = embedded(&index, &l.records);
+        let ret = index.retrieval(&queries, 3);
         assert_eq!(ret.candidates(3), vec![]);
         assert!(ret.ranked.iter().all(Vec::is_empty));
-        let ann = index.retrieval_ann(&l.records, 3, None);
+        let ann = index.retrieval_ann(&queries, 3, None);
         assert!(ann.ranked.iter().all(Vec::is_empty));
     }
 

@@ -35,7 +35,11 @@
 //! the index.
 
 use crate::arena::{rank_all, rank_subset, VecArena};
-use rlb_util::select::TopK;
+
+/// Ids per parallel task in k-means assignment: small enough that a
+/// training sample of a few thousand vectors still spreads over every
+/// worker.
+const ASSIGN_CHUNK: usize = 16;
 
 /// IVF tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -127,11 +131,27 @@ impl IvfIndex {
     }
 
     /// Id of the nearest centroid to the vector at `id` (lowest id on
-    /// ties; zero-norm vectors land in list 0 by the same rule).
-    fn assign_one(&self, arena: &VecArena, id: usize) -> u32 {
+    /// ties; zero-norm vectors land in list 0 by the same rule), read
+    /// through the caller's buffer `v`.
+    fn assign_one(&self, arena: &VecArena, id: u32, v: &mut [f32]) -> u32 {
+        arena.copy_out(id as usize, v);
         self.centroids
-            .nearest(arena.get(id), arena.norm(id))
+            .nearest(v, arena.norm(id as usize))
             .expect("assign_one requires a trained quantizer")
+    }
+
+    /// [`Self::assign_one`] for each of `ids`, in order: parallel over
+    /// chunks of [`ASSIGN_CHUNK`] ids that share one buffer, so no single
+    /// assignment allocates.
+    fn assign(&self, arena: &VecArena, ids: &[u32]) -> Vec<u32> {
+        rlb_util::par::par_chunks(ids, ASSIGN_CHUNK, |_, chunk| {
+            let mut v = vec![0.0; arena.dim()];
+            chunk
+                .iter()
+                .map(|&id| self.assign_one(arena, id, &mut v))
+                .collect::<Vec<u32>>()
+        })
+        .concat()
     }
 
     /// Runs deterministic spherical k-means over the whole arena and
@@ -149,13 +169,15 @@ impl IvfIndex {
         // sample is a deterministic, evenly spread subset independent of
         // insertion batching.
         let s = (nlists * self.params.sample_per_list).clamp(nlists, n);
-        let sample: Vec<usize> = (0..s).map(|i| i * n / s).collect();
+        let sample: Vec<u32> = (0..s).map(|i| (i * n / s) as u32).collect();
+        let dim = arena.dim();
+        let mut v = vec![0.0; dim];
 
         // Initial centroids: evenly spread sample vectors (distinct because
         // s >= nlists), unit-normalized.
-        let mut centroids = VecArena::new(arena.dim());
+        let mut centroids = VecArena::new(dim);
         for j in 0..nlists {
-            let mut v = arena.get(sample[j * s / nlists]).to_vec();
+            arena.copy_out(sample[j * s / nlists] as usize, &mut v);
             rlb_embed::sim::normalize(&mut v);
             centroids.push(&v);
         }
@@ -165,31 +187,31 @@ impl IvfIndex {
             // Parallel assignment of the sample; order-preserving, so the
             // serial accumulation below sees a thread-count-independent
             // assignment vector.
-            let assign =
-                rlb_util::par::par_map_range(s, |i| self.assign_one(arena, sample[i]) as usize);
-            let mut sums = vec![0f64; nlists * arena.dim()];
+            let assign = self.assign(arena, &sample);
+            let mut sums = vec![0f64; nlists * dim];
             let mut counts = vec![0usize; nlists];
-            for (i, &c) in assign.iter().enumerate() {
+            for (&id, &c) in sample.iter().zip(&assign) {
+                let c = c as usize;
                 counts[c] += 1;
-                let v = arena.get(sample[i]);
-                let row = &mut sums[c * arena.dim()..(c + 1) * arena.dim()];
-                for (acc, &x) in row.iter_mut().zip(v) {
+                arena.copy_out(id as usize, &mut v);
+                for (acc, &x) in sums[c * dim..(c + 1) * dim].iter_mut().zip(&v) {
                     *acc += x as f64;
                 }
             }
-            centroids = VecArena::new(arena.dim());
+            centroids = VecArena::new(dim);
             for c in 0..nlists {
                 if counts[c] == 0 {
                     // Empty list: keep the old centroid rather than
                     // collapsing the partition.
-                    centroids.push(self.centroids.get(c));
+                    self.centroids.copy_out(c, &mut v);
                 } else {
-                    let row = &sums[c * arena.dim()..(c + 1) * arena.dim()];
-                    let mut mean: Vec<f32> =
-                        row.iter().map(|&x| (x / counts[c] as f64) as f32).collect();
-                    rlb_embed::sim::normalize(&mut mean);
-                    centroids.push(&mean);
+                    let row = &sums[c * dim..(c + 1) * dim];
+                    for (x, &sum) in v.iter_mut().zip(row) {
+                        *x = (sum / counts[c] as f64) as f32;
+                    }
+                    rlb_embed::sim::normalize(&mut v);
                 }
+                centroids.push(&v);
             }
         }
         self.centroids = centroids;
@@ -197,7 +219,8 @@ impl IvfIndex {
         // Final assignment of *all* vectors; lists built serially in
         // ascending id order so probed candidates come out pre-sorted per
         // list.
-        let assign = rlb_util::par::par_map_range(n, |id| self.assign_one(arena, id));
+        let all: Vec<u32> = (0..n as u32).collect();
+        let assign = self.assign(arena, &all);
         self.lists = vec![Vec::new(); nlists];
         for (id, &c) in assign.iter().enumerate() {
             self.lists[c as usize].push(id as u32);
@@ -229,7 +252,7 @@ impl IvfIndex {
             self.train(arena);
         } else {
             let id = (n - 1) as u32;
-            let c = self.assign_one(arena, n - 1);
+            let c = self.assign_one(arena, id, &mut vec![0.0; arena.dim()]);
             self.lists[c as usize].push(id);
         }
     }
@@ -244,13 +267,8 @@ impl IvfIndex {
             rlb_obs::counter_add("ann.visited", arena.len() as u64);
             return rank_all(arena, q, k_max);
         }
-        let qnorm = rlb_util::linalg::norm_f32(q);
-        let mut best_lists = TopK::new(nprobe);
-        for c in 0..self.centroids.len() {
-            best_lists.push(self.centroids.score(c, q, qnorm), c as u32);
-        }
         let mut ids: Vec<u32> = Vec::new();
-        for (_, c) in best_lists.into_sorted() {
+        for c in rank_all(&self.centroids, q, nprobe) {
             ids.extend_from_slice(&self.lists[c as usize]);
         }
         // Ascending visit order matches the exact scan restricted to this
@@ -324,7 +342,8 @@ mod tests {
         // Near-duplicates of a query land in the query's own probed list,
         // so even nprobe=1 recovers the planted neighbour.
         let mut arena = random_arena(2000, 8, 5);
-        let probe: Vec<f32> = arena.get(123).to_vec();
+        let mut probe = vec![0.0; 8];
+        arena.copy_out(123, &mut probe);
         let mut near = probe.clone();
         near[0] += 0.01;
         let planted = arena.push(&near);
@@ -358,10 +377,12 @@ mod tests {
                 ..Default::default()
             });
             let mut arena = VecArena::new(8);
+            let mut v = vec![0.0; 8];
             let mut prev = 0;
             for &cut in cuts.iter().chain(std::iter::once(&300)) {
                 for id in prev..cut {
-                    arena.push(arena_full.get(id));
+                    arena_full.copy_out(id, &mut v);
+                    arena.push(&v);
                     ivf.on_insert(&arena);
                 }
                 prev = cut;

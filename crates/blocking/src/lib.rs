@@ -8,7 +8,7 @@
 //! (pair completeness, PC) still exceeds a floor. This crate provides:
 //!
 //! - [`EmbeddingNnBlocker`] — the DeepBlocker substitute: pooled subword
-//!   embeddings + top-K cosine retrieval over a flat [`VecArena`], with an
+//!   embeddings + top-K cosine retrieval over a blocked [`VecArena`], with an
 //!   optional perturbation seed standing in for the stochasticity of
 //!   DeepBlocker's self-supervised autoencoder training (the paper averages
 //!   10 runs);

@@ -5,7 +5,7 @@
 //! [`EmbeddingNnBlocker::retrieve`], and must leave the IVF partition itself
 //! independent of how the insert sequence was chopped up.
 
-use rlb_blocking::{EmbeddingNnBlocker, IndexSide, IvfParams, NnIndex};
+use rlb_blocking::{EmbeddingNnBlocker, IndexSide, IvfParams, NnIndex, VecArena};
 use rlb_data::Source;
 use rlb_util::Prng;
 
@@ -46,6 +46,13 @@ fn queries(n: usize, seed: u64) -> Source {
     corpus(n, seed)
 }
 
+/// `src`'s records embedded as queries of `index`.
+fn embedded(index: &NnIndex, src: &Source) -> VecArena {
+    let mut queries = VecArena::new(DIM);
+    index.embed(&src.records, &mut queries);
+    queries
+}
+
 /// Builds an index by feeding `records` through `insert_all` in chunks cut
 /// at random points (empty and single-record chunks included).
 fn build_interleaved(blocker: &EmbeddingNnBlocker, src: &Source, rng: &mut Prng) -> NnIndex {
@@ -82,13 +89,14 @@ fn interleaved_inserts_at_exhaustive_nprobe_twin_batch_retrieve() {
              (got {} trains)",
             index.ivf().trains()
         );
-        let exhaustive = index.retrieval_ann(&left.records, 7, Some(usize::MAX));
+        let queries = embedded(&index, &left);
+        let exhaustive = index.retrieval_ann(&queries, 7, Some(usize::MAX));
         assert_eq!(
             exhaustive.ranked, batch.ranked,
             "case {case}: exhaustive ann retrieval != batch retrieve"
         );
         // The exact incremental path is the same bits again.
-        assert_eq!(index.retrieval(&left.records, 7).ranked, batch.ranked);
+        assert_eq!(index.retrieval(&queries, 7).ranked, batch.ranked);
     }
 }
 
@@ -105,7 +113,8 @@ fn ivf_state_is_a_pure_function_of_the_insert_sequence() {
     let left = queries(20, 77);
     let mut rng = Prng::seed_from_u64(0xB22);
     let reference = build_interleaved(&blocker, &right, &mut rng);
-    let reference_probed = reference.retrieval_ann(&left.records, 5, Some(2));
+    let queries = embedded(&reference, &left);
+    let reference_probed = reference.retrieval_ann(&queries, 5, Some(2));
     for case in 0..6 {
         let other = build_interleaved(&blocker, &right, &mut rng);
         assert_eq!(
@@ -114,7 +123,7 @@ fn ivf_state_is_a_pure_function_of_the_insert_sequence() {
             "case {case}"
         );
         assert_eq!(
-            other.retrieval_ann(&left.records, 5, Some(2)).ranked,
+            other.retrieval_ann(&queries, 5, Some(2)).ranked,
             reference_probed.ranked,
             "case {case}: probed retrieval depends on batch boundaries"
         );
@@ -135,7 +144,9 @@ fn inserts_below_training_threshold_stay_exact_twins() {
     let batch = blocker.retrieve(&left, &right, IndexSide::Right, 5);
     // Any nprobe is exhaustive while untrained.
     assert_eq!(
-        index.retrieval_ann(&left.records, 5, Some(1)).ranked,
+        index
+            .retrieval_ann(&embedded(&index, &left), 5, Some(1))
+            .ranked,
         batch.ranked
     );
 }

@@ -8,10 +8,12 @@
 //! - the [`MatchingTask`] record store and labelled splits (append-only),
 //! - a [`TaskViewCache`] whose token dictionary grows in place with each
 //!   ingest (no re-tokenization of old records),
-//! - an [`NnIndex`] over the right source for embedding top-K blocking.
+//! - an [`NnIndex`] over the right source for embedding top-K blocking,
+//!   with the left records' embeddings beside it as the resident queries
+//!   that [`Engine::link`] ranks (embedded once, at ingest).
 //!
 //! [`Engine::ingest`] is the only writer: it takes `&mut self`, and nothing
-//! is ever removed from any of the three.
+//! is ever removed from any of them.
 //!
 //! **Incremental-twin policy.** After any sequence of ingests, the engine's
 //! [`Engine::assess`] and [`Engine::link`] outputs are byte-identical
@@ -30,7 +32,7 @@
 //! `&self` method is a plain read under the service's `RwLock` — see
 //! `protocol.rs` for the per-op lock choice.
 
-use rlb_blocking::{EmbeddingNnBlocker, IndexSide, NnIndex, Retrieval};
+use rlb_blocking::{EmbeddingNnBlocker, IndexSide, NnIndex, Retrieval, VecArena};
 use rlb_core::assessment::{assess_from_scores, Assessment};
 use rlb_data::{LabeledPair, MatchingTask, PairRef, Source};
 use rlb_matchers::features::TaskViewCache;
@@ -109,6 +111,9 @@ pub struct Engine {
     task: MatchingTask,
     views: Option<TaskViewCache>,
     index: NnIndex,
+    /// Embeddings of the left records, in record order: the queries of
+    /// every `link`.
+    queries: VecArena,
     seen_pairs: FxHashSet<PairRef>,
     schema_fixed: bool,
     /// `[CS, JS]` rows parallel to `task.train`, `task.val`, `task.test`.
@@ -120,6 +125,7 @@ impl Engine {
     /// ingest that carries records.
     pub fn new(name: impl Into<String>) -> Self {
         let name = name.into();
+        let blocker = EmbeddingNnBlocker::default();
         Engine {
             task: MatchingTask {
                 name: name.clone(),
@@ -130,7 +136,8 @@ impl Engine {
                 test: Vec::new(),
             },
             views: None,
-            index: EmbeddingNnBlocker::default().index(IndexSide::Right),
+            queries: VecArena::new(blocker.dim),
+            index: blocker.index(IndexSide::Right),
             seen_pairs: FxHashSet::default(),
             schema_fixed: false,
             scores: Default::default(),
@@ -155,7 +162,8 @@ impl Engine {
     /// Validates and applies one ingest batch. On error nothing is mutated;
     /// on success records are appended to the store, the views are extended
     /// in place over the new records, new right records enter the embedding
-    /// index, and pairs join their splits with their `[CS, JS]` rows.
+    /// index, new left records are embedded as link queries, and pairs join
+    /// their splits with their `[CS, JS]` rows.
     pub fn ingest(&mut self, batch: IngestBatch) -> Result<IngestStats, String> {
         let _span = rlb_obs::span!("serve.ingest", "{}+{}", batch.left.len(), batch.right.len());
         self.validate_batch(&batch)?;
@@ -166,7 +174,7 @@ impl Engine {
                 self.schema_fixed = true;
             }
         }
-        let right_start = self.task.right.len();
+        let (left_start, right_start) = (self.task.left.len(), self.task.right.len());
         let batch_records = (batch.left.len() + batch.right.len()) as u64;
         for values in batch.left {
             self.task.left.push(values);
@@ -182,6 +190,8 @@ impl Engine {
         }
         self.index
             .insert_all(&self.task.right.records[right_start..]);
+        self.index
+            .embed(&self.task.left.records[left_start..], &mut self.queries);
         let views = self.views.as_ref();
         let rows = rlb_util::par::par_map(&batch.pairs, |p| {
             views
@@ -211,10 +221,11 @@ impl Engine {
     }
 
     /// Embedding top-K blocking over everything ingested so far: the right
-    /// source is indexed incrementally, left records are the queries.
+    /// source is indexed incrementally, and every left record, embedded at
+    /// its ingest, is ranked against all of it.
     pub fn link(&self, k: usize) -> Retrieval {
         let _span = rlb_obs::span!("serve.link", "k={k}");
-        self.index.retrieval(&self.task.left.records, k.max(1))
+        self.index.retrieval(&self.queries, k.max(1))
     }
 
     /// IVF-probed variant of [`Engine::link`]. `nprobe` defaults to the
@@ -223,8 +234,7 @@ impl Engine {
     /// the result is bitwise identical to [`Engine::link`].
     pub fn link_ann(&self, k: usize, nprobe: Option<usize>) -> Retrieval {
         let _span = rlb_obs::span!("serve.link", "ann k={k}");
-        self.index
-            .retrieval_ann(&self.task.left.records, k.max(1), nprobe)
+        self.index.retrieval_ann(&self.queries, k.max(1), nprobe)
     }
 
     /// A-priori assessment (linearity, complexity, verdict flags) over the

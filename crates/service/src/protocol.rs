@@ -26,11 +26,15 @@
 //! (`<session-prefix>/<sequence>`, see [`Session`]), echoed as `"trace"` in
 //! every response, and feeds per-op counters (`serve.<op>`), the shared
 //! latency histogram `serve.request_us`, and a per-op histogram
-//! `serve.<op>_us`. The `stats` op surfaces the full counter/histogram
-//! snapshot; the `metrics` op additionally reports since-last-call deltas
-//! per counter and a `"window"` summary per histogram (rolling p50/p99 per
-//! op between the session's consecutive `metrics` calls), so a client can
-//! watch the engine live without touching `RUN_METRICS.json`.
+//! `serve.<op>_us`. Ops that take the engine lock also record how long
+//! they waited for it, from requesting the guard to holding it:
+//! `serve.lock_wait_write_us` for `ingest`, `serve.lock_wait_read_us` for
+//! `link`, `assess` and `stats`. The `stats` op surfaces the full
+//! counter/histogram snapshot; the `metrics` op additionally reports
+//! since-last-call deltas per counter and a `"window"` summary per histogram
+//! (rolling p50/p99 per op between the session's consecutive `metrics`
+//! calls), so a client can watch the engine live without touching
+//! `RUN_METRICS.json`.
 
 use crate::engine::{Engine, IngestBatch, IngestPair, Split};
 use rlb_util::json::{read_line, write_line, JsonLine, Value, MAX_DEPTH};
@@ -202,10 +206,7 @@ impl Session {
         let started = std::time::Instant::now();
         let _span = rlb_obs::span!("serve.request", "{op}");
         let response = match op {
-            "ingest" => match engine.write() {
-                Ok(mut engine) => handle_ingest(&mut engine, request),
-                Err(_) => err_response(POISONED),
-            },
+            "ingest" => with_write(engine, |engine| handle_ingest(engine, request)),
             "link" => with_read(engine, |engine| handle_link(engine, request)),
             "assess" => with_read(engine, |engine| match engine.assess() {
                 Ok(a) => ok_response(vec![("assessment".into(), a.to_json())]),
@@ -276,9 +277,28 @@ impl Session {
 /// structured error per request instead of crashing the session.
 const POISONED: &str = "engine lock poisoned by an earlier panic";
 
+/// Records the microseconds since `requested` in the lock-wait histogram
+/// `name`.
+fn record_wait(name: &'static str, requested: std::time::Instant) {
+    rlb_obs::histogram_record(name, requested.elapsed().as_micros() as u64);
+}
+
 fn with_read(engine: &RwLock<Engine>, op: impl FnOnce(&Engine) -> Value) -> Value {
-    match engine.read() {
+    let requested = std::time::Instant::now();
+    let guard = engine.read();
+    record_wait("serve.lock_wait_read_us", requested);
+    match guard {
         Ok(engine) => op(&engine),
+        Err(_) => err_response(POISONED),
+    }
+}
+
+fn with_write(engine: &RwLock<Engine>, op: impl FnOnce(&mut Engine) -> Value) -> Value {
+    let requested = std::time::Instant::now();
+    let guard = engine.write();
+    record_wait("serve.lock_wait_write_us", requested);
+    match guard {
+        Ok(mut engine) => op(&mut engine),
         Err(_) => err_response(POISONED),
     }
 }
@@ -697,15 +717,37 @@ mod tests {
             .get("histograms")
             .and_then(|h| h.get("serve.request_us"))
             .is_some());
-        // A third immediate call sees an empty probe window: zero delta,
-        // null quantiles (never NaN, never fabricated zeros).
-        let (third, _) = session.handle(&engine, &metrics);
-        let probe = third
+        // Lock waits: an ingest waits for the write lock, a stats for a read
+        // lock, and the next window holds at least those two samples.
+        for line in [
+            r#"{"op":"ingest","left":[["a"]],"right":[["a"]]}"#,
+            r#"{"op":"stats"}"#,
+        ] {
+            let (resp, _) = session.handle(&engine, &Value::parse(line).unwrap());
+            assert!(ok(&resp), "{resp:?}");
+        }
+        let (waits, _) = session.handle(&engine, &metrics);
+        for name in ["serve.lock_wait_write_us", "serve.lock_wait_read_us"] {
+            let window = waits
+                .get("histograms")
+                .and_then(|h| h.get(name))
+                .and_then(|h| h.get("window"))
+                .unwrap_or_else(|| panic!("{name} window: {waits:?}"));
+            assert!(
+                window.get("count").and_then(Value::as_f64) >= Some(1.0),
+                "{name}"
+            );
+        }
+        // A call with no probe activity since the last sees an empty probe
+        // window: zero delta, null quantiles (never NaN, never fabricated
+        // zeros).
+        let (quiet, _) = session.handle(&engine, &metrics);
+        let probe = quiet
             .get("counters")
             .and_then(|c| c.get("test.metrics_probe"))
             .unwrap();
         assert_eq!(probe.get("delta").and_then(Value::as_f64), Some(0.0));
-        let window = third
+        let window = quiet
             .get("histograms")
             .and_then(|h| h.get("test.metrics_probe_us"))
             .and_then(|h| h.get("window"))
