@@ -35,7 +35,7 @@ pub use linearity::{
     degree_of_linearity, degree_of_linearity_from_scores, degree_of_linearity_with, LinearityReport,
 };
 pub use practical::{practical_measures, MatcherFamily, MatcherRun, PracticalMeasures};
-pub use roster::{full_roster_cached, run_roster, RosterConfig};
+pub use roster::{run_roster, RosterConfig};
 
 // Re-export the pieces users otherwise need from companion crates.
 pub use rlb_complexity::{compute as complexity, ComplexityConfig, ComplexityReport};

@@ -2,8 +2,7 @@
 //! similarity vectors, local decisions, HighwayNet classifier
 //! (Section IV-A, method 1).
 
-use super::{train_classifier, DeepConfig};
-use crate::Matcher;
+use super::{train_classifier, DeepConfig, DeepMatcher, Trained};
 use rlb_data::{MatchingTask, PairRef, Record};
 use rlb_embed::{cosine_sim, euclidean_sim, wasserstein_sim, HashedEmbedder};
 use rlb_nn::Mlp;
@@ -21,7 +20,7 @@ pub struct DeepMatcherSim {
     left: Vec<Vec<Vec<f32>>>,
     right: Vec<Vec<Vec<f32>>>,
     arity: usize,
-    net: Option<Mlp>,
+    net: Option<Trained>,
 }
 
 impl DeepMatcherSim {
@@ -71,36 +70,40 @@ impl DeepMatcherSim {
     }
 }
 
-impl Matcher for DeepMatcherSim {
-    fn name(&self) -> String {
-        format!("DeepMatcher ({})", self.cfg.epochs)
+impl DeepMatcher for DeepMatcherSim {
+    fn config(&self) -> &DeepConfig {
+        &self.cfg
     }
 
-    fn fit(&mut self, task: &MatchingTask) -> Result<()> {
+    fn method(&self) -> &'static str {
+        "DeepMatcher"
+    }
+
+    fn fit_budgets(&mut self, task: &MatchingTask, budgets: &[usize]) -> Result<()> {
         self.arity = task.left.arity().max(task.right.arity());
         self.left = self.embed_records(&task.left.records);
         self.right = self.embed_records(&task.right.records);
         let net = Mlp::highway_net(4 * self.arity, 24, self.cfg.seed);
-        let fitted = train_classifier(task, &self.cfg, net, |p| self.features(p))?;
+        let fitted = train_classifier(task, &self.cfg, budgets, net, |p| self.features(p))?;
         self.net = Some(fitted);
         Ok(())
     }
 
-    fn predict(&mut self, _task: &MatchingTask, pairs: &[PairRef]) -> Vec<bool> {
+    fn predict_budgets(&mut self, _task: &MatchingTask, pairs: &[PairRef]) -> Vec<Vec<bool>> {
         let feats: Vec<Vec<f32>> = pairs.iter().map(|&p| self.features(p)).collect();
         let net = self
             .net
             .as_mut()
             .expect("DeepMatcherSim::predict before fit");
-        net.predict_batch(&feats)
+        net.predict(&feats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate;
     use crate::testtask::small;
+    use crate::{evaluate, Matcher};
 
     #[test]
     fn learns_easy_benchmark() {

@@ -10,8 +10,8 @@
 //! 3. **data augmentation**: each training pair contributes extra jittered
 //!    copies, the feature-space analogue of DITTO's augmentation operators.
 
-use super::{emtransformer::EmTransformerSim as Emt, subsample_train, CrossAlign, DeepConfig};
-use crate::Matcher;
+use super::{emtransformer::EmTransformerSim as Emt, CrossAlign, DeepConfig, DeepMatcher, Trained};
+use crate::subsample_train;
 use rlb_data::{MatchingTask, PairRef, Record};
 use rlb_embed::contextual::{ContextualEncoder, Variant};
 use rlb_nn::{Mlp, TrainConfig};
@@ -41,7 +41,7 @@ pub struct DittoSim {
     /// the knowledge module).
     pub use_knowledge: bool,
     align: CrossAlign,
-    net: Option<Mlp>,
+    net: Option<Trained>,
 }
 
 impl DittoSim {
@@ -115,12 +115,16 @@ impl DittoSim {
     }
 }
 
-impl Matcher for DittoSim {
-    fn name(&self) -> String {
-        format!("DITTO ({})", self.cfg.epochs)
+impl DeepMatcher for DittoSim {
+    fn config(&self) -> &DeepConfig {
+        &self.cfg
     }
 
-    fn fit(&mut self, task: &MatchingTask) -> Result<()> {
+    fn method(&self) -> &'static str {
+        "DITTO"
+    }
+
+    fn fit_budgets(&mut self, task: &MatchingTask, budgets: &[usize]) -> Result<()> {
         if task.train.is_empty() {
             return Err(Error::EmptyInput("DITTO training set"));
         }
@@ -138,7 +142,7 @@ impl Matcher for DittoSim {
 
         let dim =
             2 * self.encoder.dim() + 3 + CrossAlign::WIDTH + if self.use_knowledge { 4 } else { 0 };
-        let mut net = Mlp::new(dim, &[64], self.cfg.seed ^ 0xD177);
+        let net = Mlp::new(dim, &[64], self.cfg.seed ^ 0xD177);
 
         // Training with feature-space augmentation.
         let mut rng = Prng::seed_from_u64(self.cfg.seed);
@@ -163,34 +167,29 @@ impl Matcher for DittoSim {
         let val = subsample_train(&task.val, self.cfg.max_train / 2, &mut rng);
         let val_x: Vec<Vec<f32>> = val.iter().map(|lp| self.features(lp.pair)).collect();
         let val_y: Vec<bool> = val.iter().map(|lp| lp.is_match).collect();
-        let tc = TrainConfig {
-            epochs: self.cfg.epochs,
-            ..Default::default()
-        };
-        net.train(
-            &train_x,
-            &train_y,
-            &val_x,
-            &val_y,
-            &tc,
+        self.net = Some(Trained::new(
+            net,
+            (&train_x, &train_y),
+            (&val_x, &val_y),
+            TrainConfig::default().learning_rate,
             self.cfg.seed ^ 0xA06,
-        )?;
-        self.net = Some(net);
+            budgets,
+        )?);
         Ok(())
     }
 
-    fn predict(&mut self, _task: &MatchingTask, pairs: &[PairRef]) -> Vec<bool> {
+    fn predict_budgets(&mut self, _task: &MatchingTask, pairs: &[PairRef]) -> Vec<Vec<bool>> {
         let feats: Vec<Vec<f32>> = pairs.iter().map(|&p| self.features(p)).collect();
         let net = self.net.as_mut().expect("DittoSim::predict before fit");
-        net.predict_batch(&feats)
+        net.predict(&feats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate;
     use crate::testtask::small;
+    use crate::{evaluate, Matcher};
 
     #[test]
     fn learns_easy_benchmark() {

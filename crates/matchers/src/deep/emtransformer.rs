@@ -2,8 +2,7 @@
 //! the concatenated attribute values (heterogeneous), local decisions
 //! (Section IV-A, method 2). Two checkpoint variants, B and R.
 
-use super::{train_classifier, CrossAlign, DeepConfig};
-use crate::Matcher;
+use super::{train_classifier, CrossAlign, DeepConfig, DeepMatcher, Trained};
 use rlb_data::{MatchingTask, PairRef, Record};
 use rlb_embed::contextual::{ContextualEncoder, Variant};
 use rlb_nn::Mlp;
@@ -17,7 +16,7 @@ pub struct EmTransformerSim {
     left: Vec<Vec<f32>>,
     right: Vec<Vec<f32>>,
     align: CrossAlign,
-    net: Option<Mlp>,
+    net: Option<Trained>,
 }
 
 impl EmTransformerSim {
@@ -69,42 +68,45 @@ impl EmTransformerSim {
     }
 }
 
-impl Matcher for EmTransformerSim {
-    fn name(&self) -> String {
-        let tag = match self.variant {
-            Variant::Bert => "B",
-            Variant::Roberta => "R",
-        };
-        format!("EMTransformer-{tag} ({})", self.cfg.epochs)
+impl DeepMatcher for EmTransformerSim {
+    fn config(&self) -> &DeepConfig {
+        &self.cfg
     }
 
-    fn fit(&mut self, task: &MatchingTask) -> Result<()> {
+    fn method(&self) -> &'static str {
+        match self.variant {
+            Variant::Bert => "EMTransformer-B",
+            Variant::Roberta => "EMTransformer-R",
+        }
+    }
+
+    fn fit_budgets(&mut self, task: &MatchingTask, budgets: &[usize]) -> Result<()> {
         self.left = self.encode_records(&task.left.records);
         self.right = self.encode_records(&task.right.records);
         let base = rlb_embed::HashedEmbedder::new(self.encoder.dim(), 0xC405);
         self.align = CrossAlign::prepare(&|t| base.token(t), task);
         let dim = 2 * self.encoder.dim() + 3 + CrossAlign::WIDTH;
         let net = Mlp::new(dim, &[64], self.cfg.seed ^ self.encoder.dim() as u64);
-        let fitted = train_classifier(task, &self.cfg, net, |p| self.features(p))?;
+        let fitted = train_classifier(task, &self.cfg, budgets, net, |p| self.features(p))?;
         self.net = Some(fitted);
         Ok(())
     }
 
-    fn predict(&mut self, _task: &MatchingTask, pairs: &[PairRef]) -> Vec<bool> {
+    fn predict_budgets(&mut self, _task: &MatchingTask, pairs: &[PairRef]) -> Vec<Vec<bool>> {
         let feats: Vec<Vec<f32>> = pairs.iter().map(|&p| self.features(p)).collect();
         let net = self
             .net
             .as_mut()
             .expect("EmTransformerSim::predict before fit");
-        net.predict_batch(&feats)
+        net.predict(&feats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate;
     use crate::testtask::small;
+    use crate::{evaluate, Matcher};
 
     #[test]
     fn learns_easy_benchmark() {

@@ -5,8 +5,7 @@
 //! alignment scores are aggregated per attribute, and an entity-level
 //! comparison vector feeds the classifier.
 
-use super::{train_classifier, DeepConfig};
-use crate::Matcher;
+use super::{train_classifier, DeepConfig, DeepMatcher, Trained};
 use rlb_data::{MatchingTask, PairRef, Record};
 use rlb_embed::hashed::HashedEmbedder;
 use rlb_nn::Mlp;
@@ -33,7 +32,7 @@ pub struct HierMatcherSim {
     left: Vec<TokenizedRecord>,
     right: Vec<TokenizedRecord>,
     arity: usize,
-    net: Option<Mlp>,
+    net: Option<Trained>,
 }
 
 impl HierMatcherSim {
@@ -143,12 +142,16 @@ impl HierMatcherSim {
     }
 }
 
-impl Matcher for HierMatcherSim {
-    fn name(&self) -> String {
-        format!("HierMatcher ({})", self.cfg.epochs)
+impl DeepMatcher for HierMatcherSim {
+    fn config(&self) -> &DeepConfig {
+        &self.cfg
     }
 
-    fn fit(&mut self, task: &MatchingTask) -> Result<()> {
+    fn method(&self) -> &'static str {
+        "HierMatcher"
+    }
+
+    fn fit_budgets(&mut self, task: &MatchingTask, budgets: &[usize]) -> Result<()> {
         if Self::alignment_work(task) > MAX_ALIGNMENT_WORK {
             return Err(super::insufficient_memory());
         }
@@ -162,26 +165,26 @@ impl Matcher for HierMatcherSim {
         self.right = self.tokenize_records(&task.right.records, &idf);
         let dim = 4 * self.arity + 2;
         let net = Mlp::new(dim, &[24], self.cfg.seed ^ 0x41E3);
-        let fitted = train_classifier(task, &self.cfg, net, |p| self.features(p))?;
+        let fitted = train_classifier(task, &self.cfg, budgets, net, |p| self.features(p))?;
         self.net = Some(fitted);
         Ok(())
     }
 
-    fn predict(&mut self, _task: &MatchingTask, pairs: &[PairRef]) -> Vec<bool> {
+    fn predict_budgets(&mut self, _task: &MatchingTask, pairs: &[PairRef]) -> Vec<Vec<bool>> {
         let feats: Vec<Vec<f32>> = pairs.iter().map(|&p| self.features(p)).collect();
         let net = self
             .net
             .as_mut()
             .expect("HierMatcherSim::predict before fit");
-        net.predict_batch(&feats)
+        net.predict(&feats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate;
     use crate::testtask::small;
+    use crate::{evaluate, Matcher};
 
     #[test]
     fn learns_easy_benchmark() {

@@ -20,7 +20,10 @@
 //! validation-based epoch selection — the paper's protocol (it patches the
 //! real EMTransformer to do exactly this). The epoch budget is exposed
 //! because it is the paper's headline hyperparameter (each method is
-//! reported at two budgets in Tables IV and VI).
+//! reported at two budgets in Tables IV and VI). Every simulation is a
+//! [`DeepMatcher`]: it featurises a task once, trains once to the largest
+//! of several budgets and predicts at each of them. Its [`Matcher`] impl is
+//! the one-budget case of the same code.
 //!
 //! Like their real counterparts on a 24 GB GPU, the simulations have
 //! capacity limits; oversized tasks fail with an "insufficient memory"
@@ -39,15 +42,17 @@ pub use emtransformer::EmTransformerSim;
 pub use gnem::GnemSim;
 pub use hiermatcher::HierMatcherSim;
 
-use rlb_data::{LabeledPair, MatchingTask, Record};
-use rlb_nn::{Mlp, TrainConfig};
+use crate::{subsample_train, Matcher};
+use rlb_data::{MatchingTask, PairRef, Record};
+use rlb_nn::{Checkpoint, Mlp, TrainConfig};
 use rlb_textsim::tfidf::TfIdfModel;
 use rlb_util::{Error, Prng, Result};
 
 /// Hyperparameters shared by all deep matcher simulations.
 #[derive(Debug, Clone, Copy)]
 pub struct DeepConfig {
-    /// Training epochs (the paper's per-method budgets: 10/15/40).
+    /// The epoch budget [`Matcher::fit`] trains to (the paper's per-method
+    /// budgets: 10/15/40).
     pub epochs: usize,
     /// Seed for weight init, batching and subsampling.
     pub seed: u64,
@@ -65,6 +70,47 @@ impl DeepConfig {
             seed: 0xD33D,
             max_train: 6000,
         }
+    }
+}
+
+/// A deep matcher simulation that trains once and predicts at several
+/// epoch budgets. The roster reports every method at two budgets for the
+/// cost of one featurisation and one training run
+/// ([`crate::evaluate_budgets`]).
+pub trait DeepMatcher {
+    /// The configuration; [`Matcher::fit`] trains to its `epochs`.
+    fn config(&self) -> &DeepConfig;
+
+    /// The method's name without a budget, e.g. `"EMTransformer-R"`.
+    fn method(&self) -> &'static str;
+
+    /// Featurises the task once and trains to the largest of `budgets`,
+    /// keeping the model each budget ends with: what a separate fit at that
+    /// budget gives, bit for bit.
+    fn fit_budgets(&mut self, task: &MatchingTask, budgets: &[usize]) -> Result<()>;
+
+    /// Match predictions at each fitted budget, in `fit_budgets` order.
+    fn predict_budgets(&mut self, task: &MatchingTask, pairs: &[PairRef]) -> Vec<Vec<bool>>;
+}
+
+/// Display name of a deep configuration, e.g. `"GNEM (10)"`.
+pub fn budget_name(method: &str, epochs: usize) -> String {
+    format!("{method} ({epochs})")
+}
+
+/// One configuration: the single budget `config().epochs`.
+impl<T: DeepMatcher> Matcher for T {
+    fn name(&self) -> String {
+        budget_name(self.method(), self.config().epochs)
+    }
+
+    fn fit(&mut self, task: &MatchingTask) -> Result<()> {
+        let budget = self.config().epochs;
+        self.fit_budgets(task, &[budget])
+    }
+
+    fn predict(&mut self, task: &MatchingTask, pairs: &[PairRef]) -> Vec<bool> {
+        self.predict_budgets(task, pairs).swap_remove(0)
     }
 }
 
@@ -185,44 +231,71 @@ pub fn is_insufficient_memory(e: &Error) -> bool {
     matches!(e, Error::Numeric(msg) if msg == "insufficient memory")
 }
 
-/// Stratified subsample of labelled pairs up to `cap`, preserving the
-/// positive fraction (at least one positive and one negative retained when
-/// available and the cap leaves room for them).
-pub(crate) fn subsample_train(
-    pairs: &[LabeledPair],
-    cap: usize,
-    rng: &mut Prng,
-) -> Vec<LabeledPair> {
-    if pairs.len() <= cap {
-        return pairs.to_vec();
-    }
-    let pos: Vec<&LabeledPair> = pairs.iter().filter(|p| p.is_match).collect();
-    let neg: Vec<&LabeledPair> = pairs.iter().filter(|p| !p.is_match).collect();
-    let pos_take = (((pos.len() as f64 / pairs.len() as f64) * cap as f64).round() as usize)
-        .clamp(1.min(pos.len()), pos.len())
-        .min(cap);
-    let neg_take = (cap - pos_take).min(neg.len());
-    let mut out = Vec::with_capacity(pos_take + neg_take);
-    for i in rng.sample_indices(pos.len(), pos_take) {
-        out.push(*pos[i]);
-    }
-    for i in rng.sample_indices(neg.len(), neg_take) {
-        out.push(*neg[i]);
-    }
-    rng.shuffle(&mut out);
-    out
+/// A classifier trained once, with the parameters each epoch budget ends
+/// with.
+pub(crate) struct Trained {
+    net: Mlp,
+    budgets: Vec<Checkpoint>,
 }
 
-/// Shared fit path: featurize train/val, train an MLP with validation-based
-/// epoch selection.
+impl Trained {
+    /// Trains `net` for the largest of `budgets` epochs and keeps each
+    /// budget's checkpoint. Every deep training run starts here, and each
+    /// adds one to the `deep.trainings` counter.
+    pub(crate) fn new(
+        mut net: Mlp,
+        (train_x, train_y): (&[Vec<f32>], &[bool]),
+        (val_x, val_y): (&[Vec<f32>], &[bool]),
+        learning_rate: f32,
+        seed: u64,
+        budgets: &[usize],
+    ) -> Result<Trained> {
+        rlb_obs::counter_add("deep.trainings", 1);
+        let tc = TrainConfig {
+            epochs: budgets.iter().copied().max().unwrap_or(0),
+            learning_rate,
+            ..Default::default()
+        };
+        let (_, budgets) =
+            net.train_with_checkpoints(train_x, train_y, val_x, val_y, &tc, seed, budgets)?;
+        Ok(Trained { net, budgets })
+    }
+
+    /// The network with budget `k`'s parameters loaded.
+    fn at(&mut self, k: usize) -> &mut Mlp {
+        self.net.load(&self.budgets[k]);
+        &mut self.net
+    }
+
+    /// Logits of `xs` at every budget.
+    pub(crate) fn logits(&mut self, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
+        (0..self.budgets.len())
+            .map(|k| {
+                let net = self.at(k);
+                xs.iter().map(|x| net.logit(x)).collect()
+            })
+            .collect()
+    }
+
+    /// Predictions of `xs` at every budget.
+    pub(crate) fn predict(&mut self, xs: &[Vec<f32>]) -> Vec<Vec<bool>> {
+        (0..self.budgets.len())
+            .map(|k| self.at(k).predict_batch(xs))
+            .collect()
+    }
+}
+
+/// Shared fit path: featurize a train and a validation sample once, then
+/// train an MLP with validation-based epoch selection to every budget.
 pub(crate) fn train_classifier<F>(
     task: &MatchingTask,
     cfg: &DeepConfig,
-    mut net: Mlp,
+    budgets: &[usize],
+    net: Mlp,
     featurize: F,
-) -> Result<Mlp>
+) -> Result<Trained>
 where
-    F: Fn(rlb_data::PairRef) -> Vec<f32>,
+    F: Fn(PairRef) -> Vec<f32>,
 {
     if task.train.is_empty() {
         return Err(Error::EmptyInput("deep matcher training set"));
@@ -234,13 +307,14 @@ where
     let val = subsample_train(&task.val, cfg.max_train / 2, &mut rng);
     let val_x: Vec<Vec<f32>> = val.iter().map(|lp| featurize(lp.pair)).collect();
     let val_y: Vec<bool> = val.iter().map(|lp| lp.is_match).collect();
-    let tc = TrainConfig {
-        epochs: cfg.epochs,
-        learning_rate: 1e-2,
-        ..Default::default()
-    };
-    net.train(&train_x, &train_y, &val_x, &val_y, &tc, cfg.seed ^ 0x7EA1)?;
-    Ok(net)
+    Trained::new(
+        net,
+        (&train_x, &train_y),
+        (&val_x, &val_y),
+        1e-2,
+        cfg.seed ^ 0x7EA1,
+        budgets,
+    )
 }
 
 #[cfg(test)]
@@ -256,6 +330,23 @@ mod tests {
         let mut rng = Prng::seed_from_u64(1);
         assert!(subsample_train(&pairs, 0, &mut rng).is_empty());
         let one = subsample_train(&pairs, 1, &mut rng);
+        assert_eq!(one.len(), 1);
+        assert!(one[0].is_match);
+        // Magellan draws its training sample with the same helper.
+        let task = MatchingTask {
+            name: "caps".into(),
+            left: rlb_data::Source::new("L", vec![]),
+            right: rlb_data::Source::new("R", vec![]),
+            train: pairs,
+            val: vec![],
+            test: vec![],
+        };
+        let mut magellan = crate::Magellan::new(crate::MagellanModel::DecisionTree, 1);
+        magellan.max_train = 0;
+        assert!(magellan.training_pairs(&task).is_empty());
+        assert!(magellan.fit(&task).is_err());
+        magellan.max_train = 1;
+        let one = magellan.training_pairs(&task);
         assert_eq!(one.len(), 1);
         assert!(one[0].is_match);
     }

@@ -8,13 +8,19 @@
 //! every consumer so tokenization happens exactly once per record per
 //! pipeline run. The character q-gram views ([`QgramViews`],
 //! [`QgramAttrViews`]) have a single consumer each, the ESDE q-gram
-//! variant that builds and owns them. The `String` sets ([`TokenSet`],
-//! scored by [`rlb_textsim::sets`]) stay the reference: this module's tests
-//! rebuild them per record and check every interned score against them bit
-//! for bit.
+//! variant that builds and owns them. They intern each gram through a
+//! prefix tree of `(prefix id, last char)` pairs, so no gram is ever a
+//! `String`. The `String` sets ([`TokenSet`], scored by
+//! [`rlb_textsim::sets`]) stay the reference: this module's tests rebuild
+//! them per record and check every interned score against them bit for
+//! bit. [`MagellanRows`] holds the Magellan row of every pair the roster's
+//! Magellan models and ZeroER read, computed once in parallel.
 
 use rlb_data::{MatchingTask, PairRef, Record};
+use rlb_textsim::tokenize::push_padded;
 use rlb_textsim::{intern, sets, IdSet, TokenInterner, TokenSet};
+use rlb_util::FxHashMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Character q-gram lengths the ESDE q-gram variants sweep (Section IV-C).
@@ -74,26 +80,6 @@ fn tokenize_source(records: &[Record], arity: usize) -> Vec<Vec<Vec<String>>> {
             .map(|a| rlb_textsim::tokenize::tokens(r.value(a)))
             .collect()
     })
-}
-
-/// Records whose q-gram strings exist at once while q-gram views are built.
-const QGRAM_CHUNK: usize = 256;
-
-/// Generates `grams` for each record in parallel, one [`QGRAM_CHUNK`] at a
-/// time, and interns them in record order; a chunk's strings are dropped
-/// before the next chunk is generated. The interner sees the same tokens in
-/// the same order as it would after generating everything up front.
-fn interned_in_chunks<G: Send, V>(
-    records: &[Record],
-    grams: impl Fn(&Record) -> G + Sync,
-    mut intern: impl FnMut(&G) -> V,
-) -> Vec<V> {
-    let mut out = Vec::with_capacity(records.len());
-    for chunk in records.chunks(QGRAM_CHUNK) {
-        let generated = rlb_util::par::par_map(chunk, &grams);
-        out.extend(generated.iter().map(&mut intern));
-    }
-    out
 }
 
 /// Interns pre-tokenized records, appending the resulting views to `out`.
@@ -189,24 +175,57 @@ impl TaskViews {
     }
 }
 
+/// A dictionary of character q-grams kept as a prefix tree: a gram's id is
+/// the id of the pair (id of its (q−1)-char prefix, last char), so no gram
+/// is allocated, stored or hashed as a string. Distinct grams of any
+/// length get distinct ids, so an [`IdSet`] of gram ids has the members of
+/// the gram strings' [`TokenSet`] up to a bijection, and cosine, dice and
+/// jaccard keep their bits.
+#[derive(Default)]
+struct GramTrie {
+    nodes: FxHashMap<(u32, char), u32>,
+    /// The padded text of the value being cut, reused across values.
+    padded: Vec<char>,
+}
+
+impl GramTrie {
+    /// The empty gram, the parent of every 1-char gram (never a node id).
+    const ROOT: u32 = u32::MAX;
+
+    /// One set per q of [`ESDE_Q_RANGE`]: the q-grams of `text`, as
+    /// `TokenSet::from_qgrams(text, q)` has them.
+    fn sets(&mut self, text: &str) -> Vec<IdSet> {
+        let (lo, hi) = (*ESDE_Q_RANGE.start(), *ESDE_Q_RANGE.end());
+        let mut grams: Vec<Vec<u32>> = vec![Vec::new(); hi - lo + 1];
+        self.padded.clear();
+        // Padded once for the longest q. The q-grams are the windows of the
+        // text padded with q − 1 sentinels: the windows of this buffer that
+        // start at `hi − q` or later and at `len − hi` at the latest. A walk
+        // down the tree from start `s` meets the ids of the grams that start
+        // there, one per length.
+        if push_padded(text, hi - 1, &mut self.padded) {
+            for s in 0..=self.padded.len() - hi {
+                let mut node = Self::ROOT;
+                for (q, &c) in (1..).zip(&self.padded[s..s + hi]) {
+                    let next = self.nodes.len() as u32;
+                    node = *self.nodes.entry((node, c)).or_insert(next);
+                    if q >= lo && s + q >= hi {
+                        grams[q - lo].push(node);
+                    }
+                }
+            }
+        }
+        grams.into_iter().map(IdSet::from_ids).collect()
+    }
+}
+
 impl QgramViews {
     /// Builds the schema-agnostic q-gram views of a task with a dictionary
-    /// of their own (generation parallel per chunk, interning sequential).
+    /// of their own.
     pub fn build(task: &MatchingTask) -> Self {
-        let mut interner = TokenInterner::new();
+        let mut trie = GramTrie::default();
         let mut build = |records: &[Record]| -> Vec<Vec<IdSet>> {
-            let grams = |r: &Record| -> Vec<Vec<String>> {
-                let text = r.full_text();
-                ESDE_Q_RANGE
-                    .map(|q| rlb_textsim::tokenize::qgrams(&text, q))
-                    .collect()
-            };
-            interned_in_chunks(records, grams, |per_q| {
-                per_q
-                    .iter()
-                    .map(|g| IdSet::from_tokens(&mut interner, g.iter()))
-                    .collect()
-            })
+            records.iter().map(|r| trie.sets(&r.full_text())).collect()
         };
         QgramViews {
             left: build(&task.left.records),
@@ -217,31 +236,15 @@ impl QgramViews {
 
 impl QgramAttrViews {
     /// Builds the per-attribute q-gram views of a task with a dictionary of
-    /// their own, in the same order as [`QgramViews::build`].
+    /// their own.
     pub fn build(task: &MatchingTask) -> Self {
         let arity = task.left.arity().max(task.right.arity());
-        let mut interner = TokenInterner::new();
+        let mut trie = GramTrie::default();
         let mut build = |records: &[Record]| -> Vec<Vec<Vec<IdSet>>> {
-            let grams = |r: &Record| -> Vec<Vec<Vec<String>>> {
-                (0..arity)
-                    .map(|a| {
-                        ESDE_Q_RANGE
-                            .map(|q| rlb_textsim::tokenize::qgrams(r.value(a), q))
-                            .collect()
-                    })
-                    .collect()
-            };
-            interned_in_chunks(records, grams, |attrs| {
-                attrs
-                    .iter()
-                    .map(|per_q| {
-                        per_q
-                            .iter()
-                            .map(|g| IdSet::from_tokens(&mut interner, g.iter()))
-                            .collect()
-                    })
-                    .collect()
-            })
+            records
+                .iter()
+                .map(|r| (0..arity).map(|a| trie.sets(r.value(a))).collect())
+                .collect()
         };
         QgramAttrViews {
             left: build(&task.left.records),
@@ -310,11 +313,47 @@ impl std::ops::Deref for TaskViewCache {
     }
 }
 
+/// The Magellan rows ([`magellan_features`]) of a set of pairs, computed
+/// once, in parallel. The roster builds one over every pair its four
+/// Magellan models and ZeroER read and hands it to all five. A matcher
+/// without one holds an empty table and computes each row as it reads it.
+#[derive(Debug, Default)]
+pub struct MagellanRows {
+    index: FxHashMap<PairRef, usize>,
+    rows: Vec<Vec<f64>>,
+}
+
+impl MagellanRows {
+    /// Computes the row of every distinct pair in `pairs`.
+    pub fn build(task: &MatchingTask, pairs: impl IntoIterator<Item = PairRef>) -> Self {
+        let mut index = FxHashMap::default();
+        let mut distinct = Vec::new();
+        for p in pairs {
+            index.entry(p).or_insert_with(|| {
+                distinct.push(p);
+                distinct.len() - 1
+            });
+        }
+        let rows = rlb_util::par::par_map(&distinct, |&p| magellan_features(task, p));
+        MagellanRows { index, rows }
+    }
+
+    /// The row of `p`: the stored one, or computed now when `p` has none.
+    pub fn row(&self, task: &MatchingTask, p: PairRef) -> Cow<'_, [f64]> {
+        match self.index.get(&p) {
+            Some(&i) => Cow::Borrowed(&self.rows[i]),
+            None => Cow::Owned(magellan_features(task, p)),
+        }
+    }
+}
+
 /// Magellan-style feature vector for one pair: eight similarity functions
 /// per attribute (token cosine/jaccard, 3-gram jaccard, Jaro, Jaro-Winkler,
 /// Levenshtein, symmetric Monge-Elkan over Jaro-Winkler, exact match), with
-/// a both-missing indicator convention of 0.5.
+/// a both-missing indicator convention of 0.5. Each call adds one to the
+/// `magellan.rows` counter.
 pub fn magellan_features(task: &MatchingTask, p: PairRef) -> Vec<f64> {
+    rlb_obs::counter_add("magellan.rows", 1);
     let (l, r) = task.records(p);
     let arity = task.left.arity().max(task.right.arity());
     let mut out = Vec::with_capacity(8 * arity);
@@ -433,14 +472,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn interned_qgram_views_equal_string_reference_bitwise() {
-        let task = small(0.4, 7);
-        let full = QgramViews::build(&task);
-        let attr = QgramAttrViews::build(&task);
+    /// Checks every q-gram score of `pairs` against the `String` reference.
+    fn assert_qgram_views_match_reference(task: &MatchingTask, pairs: &[PairRef]) {
+        let full = QgramViews::build(task);
+        let attr = QgramAttrViews::build(task);
         let arity = task.left.arity().max(task.right.arity());
-        for lp in task.all_pairs() {
-            let p = lp.pair;
+        for &p in pairs {
             let (li, ri) = (p.left as usize, p.right as usize);
             let (l, r) = task.records(p);
             let (lt, rt) = (l.full_text(), r.full_text());
@@ -461,6 +498,52 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn interned_qgram_views_equal_string_reference_bitwise() {
+        let task = small(0.4, 7);
+        let pairs: Vec<PairRef> = task.all_pairs().map(|lp| lp.pair).collect();
+        assert_qgram_views_match_reference(&task, &pairs);
+        // Values the ASCII fixture lacks: a lowercase longer than its input
+        // (`İ` lowers to two chars), `ß`, non-Latin scripts, digits only,
+        // 1-char values, empty and punctuation-only attributes.
+        use rlb_data::Source;
+        let schema = || vec!["a".to_string(), "b".to_string()];
+        let (mut left, mut right) = (Source::new("L", schema()), Source::new("R", schema()));
+        for [a, b] in [
+            ["İstanbul İİ", "ß Straße"],
+            ["Ωμέγα αβγ", "北京 東京"],
+            ["x", "7"],
+            ["", "--- !!!"],
+            ["12345 678", ""],
+            ["STRASSE", "i̇stanbul"],
+        ] {
+            left.push(vec![a.into(), b.into()]);
+        }
+        for [a, b] in [
+            ["i̇stanbul", "SS strasse"],
+            ["ωμεγα", "北京"],
+            ["X", "7"],
+            ["...", ""],
+            ["123456", "6"],
+            ["", ""],
+            ["İİ", "ß"],
+        ] {
+            right.push(vec![a.into(), b.into()]);
+        }
+        let edge = MatchingTask {
+            name: "edge".into(),
+            left,
+            right,
+            train: vec![],
+            val: vec![],
+            test: vec![],
+        };
+        let pairs: Vec<PairRef> = (0..edge.left.len() as u32)
+            .flat_map(|l| (0..edge.right.len() as u32).map(move |r| PairRef::new(l, r)))
+            .collect();
+        assert_qgram_views_match_reference(&edge, &pairs);
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //!
 //! Every matcher is deterministic under its seed. [`evaluate`] runs the full
 //! Problem-1 protocol: fit on `T` + `V`, predict `C`, score with F1.
+//! [`evaluate_budgets`] does the same for a deep matcher at several epoch
+//! budgets with one training run.
 
 pub mod deep;
 pub mod esde;
@@ -28,14 +30,15 @@ pub mod taxonomy;
 pub mod zeroer;
 
 pub use esde::{Esde, EsdeVariant};
-pub use features::{TaskViewCache, TaskViews};
+pub use features::{MagellanRows, TaskViewCache, TaskViews};
 pub use magellan::{Magellan, MagellanModel};
 pub use taxonomy::{taxonomy, TaxonomyRow};
 pub use zeroer::ZeroEr;
 
-use rlb_data::{MatchingTask, PairRef};
+use deep::DeepMatcher;
+use rlb_data::{LabeledPair, MatchingTask, PairRef};
 use rlb_ml::metrics::BinaryMetrics;
-use rlb_util::Result;
+use rlb_util::{Prng, Result};
 
 /// A supervised (or unsupervised) matching algorithm.
 pub trait Matcher {
@@ -57,9 +60,56 @@ pub trait Matcher {
 pub fn evaluate(matcher: &mut dyn Matcher, task: &MatchingTask) -> Result<BinaryMetrics> {
     matcher.fit(task)?;
     let pairs: Vec<PairRef> = task.test.iter().map(|lp| lp.pair).collect();
+    Ok(test_metrics(task, &matcher.predict(task, &pairs)))
+}
+
+/// [`evaluate`] at each of `budgets`, for one featurisation and one
+/// training run: the metrics come back in `budgets` order, each equal to a
+/// separate `evaluate` of the matcher configured with that budget.
+pub fn evaluate_budgets(
+    matcher: &mut dyn DeepMatcher,
+    task: &MatchingTask,
+    budgets: &[usize],
+) -> Result<Vec<BinaryMetrics>> {
+    matcher.fit_budgets(task, budgets)?;
+    let pairs: Vec<PairRef> = task.test.iter().map(|lp| lp.pair).collect();
+    let preds = matcher.predict_budgets(task, &pairs);
+    Ok(preds.iter().map(|p| test_metrics(task, p)).collect())
+}
+
+/// Scores predictions for the test pairs against their labels.
+fn test_metrics(task: &MatchingTask, preds: &[bool]) -> BinaryMetrics {
     let labels: Vec<bool> = task.test.iter().map(|lp| lp.is_match).collect();
-    let preds = matcher.predict(task, &pairs);
-    Ok(rlb_ml::metrics::confusion(&preds, &labels).metrics())
+    rlb_ml::metrics::confusion(preds, &labels).metrics()
+}
+
+/// Stratified subsample of labelled pairs up to `cap`, preserving the
+/// positive fraction (at least one positive and one negative retained when
+/// available and the cap leaves room for them). The deep matchers and
+/// Magellan draw their training samples with it.
+pub(crate) fn subsample_train(
+    pairs: &[LabeledPair],
+    cap: usize,
+    rng: &mut Prng,
+) -> Vec<LabeledPair> {
+    if pairs.len() <= cap {
+        return pairs.to_vec();
+    }
+    let pos: Vec<&LabeledPair> = pairs.iter().filter(|p| p.is_match).collect();
+    let neg: Vec<&LabeledPair> = pairs.iter().filter(|p| !p.is_match).collect();
+    let pos_take = (((pos.len() as f64 / pairs.len() as f64) * cap as f64).round() as usize)
+        .clamp(1.min(pos.len()), pos.len())
+        .min(cap);
+    let neg_take = (cap - pos_take).min(neg.len());
+    let mut out = Vec::with_capacity(pos_take + neg_take);
+    for i in rng.sample_indices(pos.len(), pos_take) {
+        out.push(*pos[i]);
+    }
+    for i in rng.sample_indices(neg.len(), neg_take) {
+        out.push(*neg[i]);
+    }
+    rng.shuffle(&mut out);
+    out
 }
 
 #[cfg(test)]

@@ -3,13 +3,13 @@
 //! (Section IV-B). Four variants mirror the paper's Magellan-DT / -LR /
 //! -RF / -SVM.
 
-use crate::features::magellan_features;
-use crate::Matcher;
-use rlb_data::{MatchingTask, PairRef};
+use crate::{subsample_train, MagellanRows, Matcher};
+use rlb_data::{LabeledPair, MatchingTask, PairRef};
 use rlb_ml::{
     Classifier, DecisionTree, LinearSvm, LogisticRegression, RandomForest, StandardScaler,
 };
 use rlb_util::{Error, Prng, Result};
+use std::sync::Arc;
 
 /// Which classifier tops the Magellan feature stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,28 +74,36 @@ pub struct Magellan {
     /// expensive Monge-Elkan feature extraction tractable on the largest
     /// blocked candidate sets.
     pub max_train: usize,
+    rows: Arc<MagellanRows>,
     scaler: Option<StandardScaler>,
     fitted: Option<Fitted>,
 }
 
 impl Magellan {
-    /// Unfitted matcher.
+    /// Unfitted matcher. It computes each feature row as it reads it.
     pub fn new(model: MagellanModel, seed: u64) -> Self {
         Magellan {
             model,
             seed,
             max_train: 6000,
+            rows: Arc::default(),
             scaler: None,
             fitted: None,
         }
     }
 
-    fn featurize(&self, task: &MatchingTask, p: PairRef) -> Vec<f64> {
-        let raw = magellan_features(task, p);
-        match &self.scaler {
-            Some(s) => s.transform(&raw),
-            None => raw,
-        }
+    /// Reads feature rows from `rows` (built from the task later passed to
+    /// `fit`) and computes only the rows it lacks. The roster shares one
+    /// table between the four models and ZeroER.
+    pub fn with_rows(self, rows: Arc<MagellanRows>) -> Self {
+        Magellan { rows, ..self }
+    }
+
+    /// The pairs `fit` trains on: a stratified sample of at most
+    /// `max_train` of the task's training pairs.
+    pub fn training_pairs(&self, task: &MatchingTask) -> Vec<LabeledPair> {
+        let mut rng = Prng::seed_from_u64(self.seed ^ 0x3A6E);
+        subsample_train(&task.train, self.max_train, &mut rng)
     }
 }
 
@@ -110,10 +118,10 @@ impl Matcher for Magellan {
         }
         // Magellan trains on T; V is unused by the classical classifiers
         // (they have no epoch dimension to select over).
-        let train = subsample(&task.train, self.max_train, self.seed);
-        let raw: Vec<Vec<f64>> = train
+        let train = self.training_pairs(task);
+        let raw: Vec<_> = train
             .iter()
-            .map(|lp| magellan_features(task, lp.pair))
+            .map(|lp| self.rows.row(task, lp.pair))
             .collect();
         let ys: Vec<bool> = train.iter().map(|lp| lp.is_match).collect();
         let scaler = StandardScaler::fit(&raw)?;
@@ -152,34 +160,14 @@ impl Matcher for Magellan {
     }
 
     fn predict(&mut self, task: &MatchingTask, pairs: &[PairRef]) -> Vec<bool> {
-        let fitted = self.fitted.as_ref().expect("Magellan::predict before fit");
+        let (Some(fitted), Some(scaler)) = (&self.fitted, &self.scaler) else {
+            panic!("Magellan::predict before fit");
+        };
         pairs
             .iter()
-            .map(|&p| fitted.score(&self.featurize(task, p)) >= 0.5)
+            .map(|&p| fitted.score(&scaler.transform(&self.rows.row(task, p))) >= 0.5)
             .collect()
     }
-}
-
-/// Stratified subsample preserving the positive fraction.
-fn subsample(pairs: &[rlb_data::LabeledPair], cap: usize, seed: u64) -> Vec<rlb_data::LabeledPair> {
-    if pairs.len() <= cap {
-        return pairs.to_vec();
-    }
-    let mut rng = Prng::seed_from_u64(seed ^ 0x3A6E);
-    let pos: Vec<_> = pairs.iter().filter(|p| p.is_match).copied().collect();
-    let neg: Vec<_> = pairs.iter().filter(|p| !p.is_match).copied().collect();
-    let pos_take = (((pos.len() as f64 / pairs.len() as f64) * cap as f64).round() as usize)
-        .clamp(1.min(pos.len()), pos.len());
-    let neg_take = (cap - pos_take).min(neg.len());
-    let mut out = Vec::with_capacity(pos_take + neg_take);
-    for i in rng.sample_indices(pos.len(), pos_take) {
-        out.push(pos[i]);
-    }
-    for i in rng.sample_indices(neg.len(), neg_take) {
-        out.push(neg[i]);
-    }
-    rng.shuffle(&mut out);
-    out
 }
 
 #[cfg(test)]

@@ -4,11 +4,11 @@
 //! candidate pairs, like the original's EM (with a size cap that
 //! subsamples six-figure candidate sets before feature extraction).
 
-use crate::features::magellan_features;
-use crate::Matcher;
+use crate::{MagellanRows, Matcher};
 use rlb_data::{MatchingTask, PairRef};
 use rlb_ml::GaussianMixture;
 use rlb_util::{Error, Prng, Result};
+use std::sync::Arc;
 
 /// Unsupervised Gaussian-mixture matcher.
 pub struct ZeroEr {
@@ -17,17 +17,37 @@ pub struct ZeroEr {
     /// it). EM converges on a representative sample; the cap bounds the
     /// feature-extraction cost on six-figure candidate sets.
     pub max_fit: usize,
+    rows: Arc<MagellanRows>,
     fitted: bool,
 }
 
 impl ZeroEr {
-    /// Unfitted matcher.
+    /// Unfitted matcher. It computes each feature row as it reads it.
     pub fn new() -> Self {
         ZeroEr {
             gmm: GaussianMixture::new(),
             max_fit: 30_000,
+            rows: Arc::default(),
             fitted: false,
         }
+    }
+
+    /// Reads feature rows from `rows` (built from the task later passed to
+    /// `fit`) and computes only the rows it lacks.
+    pub fn with_rows(self, rows: Arc<MagellanRows>) -> Self {
+        ZeroEr { rows, ..self }
+    }
+
+    /// The pairs `fit` fits the mixture on: the task's candidate pairs,
+    /// a random sample of `max_fit` of them beyond the cap.
+    pub fn fit_pairs(&self, task: &MatchingTask) -> Vec<PairRef> {
+        let mut pairs: Vec<_> = task.all_pairs().map(|lp| lp.pair).collect();
+        if pairs.len() > self.max_fit {
+            let mut rng = Prng::seed_from_u64(0x2E80);
+            rng.shuffle(&mut pairs);
+            pairs.truncate(self.max_fit);
+        }
+        pairs
     }
 }
 
@@ -43,15 +63,12 @@ impl Matcher for ZeroEr {
     }
 
     fn fit(&mut self, task: &MatchingTask) -> Result<()> {
-        // Unsupervised: fit on the candidate pairs, ignoring labels
-        // (random subsample beyond the cap).
-        let mut pairs: Vec<_> = task.all_pairs().map(|lp| lp.pair).collect();
-        if pairs.len() > self.max_fit {
-            let mut rng = Prng::seed_from_u64(0x2E80);
-            rng.shuffle(&mut pairs);
-            pairs.truncate(self.max_fit);
-        }
-        let xs: Vec<Vec<f64>> = pairs.iter().map(|&p| magellan_features(task, p)).collect();
+        // Unsupervised: fit on the candidate pairs, ignoring labels.
+        let xs: Vec<Vec<f64>> = self
+            .fit_pairs(task)
+            .into_iter()
+            .map(|p| self.rows.row(task, p).into_owned())
+            .collect();
         if xs.len() < 4 {
             return Err(Error::EmptyInput("ZeroER needs at least 4 candidate pairs"));
         }
@@ -64,7 +81,7 @@ impl Matcher for ZeroEr {
         assert!(self.fitted, "ZeroEr::predict before fit");
         pairs
             .iter()
-            .map(|&p| self.gmm.posterior(&magellan_features(task, p)) >= 0.5)
+            .map(|&p| self.gmm.posterior(&self.rows.row(task, p)) >= 0.5)
             .collect()
     }
 }

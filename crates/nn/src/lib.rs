@@ -11,13 +11,16 @@
 //! - a mini-batch trainer with validation-based model selection
 //!   ([`mlp::Mlp::train`]) — the paper explicitly fixes this protocol
 //!   (it even patches EMTransformer to select the best epoch on the
-//!   validation set rather than the test set).
+//!   validation set rather than the test set). It also hands back the
+//!   model a shorter epoch budget ends with
+//!   ([`mlp::Mlp::train_with_checkpoints`]), so a matcher reported at two
+//!   budgets trains once.
 //!
 //! Everything is `f32`, seeded, and single-threaded. At benchmark scale
 //! (thousands of pairs × ≤ few-hundred features) one training example of
 //! the 265→64→1 net costs a few microseconds, forward, backward and its
-//! share of the Adam step together, so the roster's twelve deep
-//! configurations per dataset train in seconds.
+//! share of the Adam step together, so the roster's six deep methods (twelve
+//! configurations) per dataset train in seconds.
 //! Weight matrices are stored input-major so the forward pass vectorizes
 //! across outputs, and Adam steps over stuck subnormal moments by integer
 //! arithmetic; both keep every bit of the straightforward formulation
@@ -29,4 +32,4 @@ pub mod mlp;
 mod reference;
 
 pub use dense::{Activation, DenseLayer, HighwayLayer, Layer};
-pub use mlp::{Mlp, TrainConfig, TrainReport};
+pub use mlp::{Checkpoint, Mlp, TrainConfig, TrainReport};

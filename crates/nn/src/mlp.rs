@@ -41,6 +41,16 @@ pub struct TrainReport {
     pub best_val_f1: f64,
 }
 
+/// The parameters a training run held at an epoch boundary: exactly the
+/// model, and the report, that a separate run of that many epochs ends
+/// with ([`Mlp::train_with_checkpoints`]).
+#[derive(Debug, Clone)]
+pub struct Checkpoint {
+    /// The report of a run of exactly this many epochs.
+    pub report: TrainReport,
+    params: Vec<Vec<f32>>,
+}
+
 /// Feed-forward binary classifier: a stack of layers ending in a single
 /// logit.
 pub struct Mlp {
@@ -175,6 +185,28 @@ impl Mlp {
         cfg: &TrainConfig,
         seed: u64,
     ) -> Result<TrainReport> {
+        self.train_with_checkpoints(train_x, train_y, val_x, val_y, cfg, seed, &[])
+            .map(|(report, _)| report)
+    }
+
+    /// [`Mlp::train`] for `cfg.epochs` epochs that also returns, for each
+    /// entry of `budgets` (each at most `cfg.epochs`), the [`Checkpoint`]
+    /// a separate run of that many epochs ends with. The loop reads
+    /// `cfg.epochs` only as its bound: a shorter run makes the same
+    /// shuffles and Adam steps, and selects with the same strict `>`. So
+    /// the best-so-far parameters at a budget's epoch boundary (the current
+    /// ones without a validation set) are that run's model, bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    pub fn train_with_checkpoints(
+        &mut self,
+        train_x: &[Vec<f32>],
+        train_y: &[bool],
+        val_x: &[Vec<f32>],
+        val_y: &[bool],
+        cfg: &TrainConfig,
+        seed: u64,
+        budgets: &[usize],
+    ) -> Result<(TrainReport, Vec<Checkpoint>)> {
         if train_x.is_empty() {
             return Err(Error::EmptyInput("training data"));
         }
@@ -189,6 +221,11 @@ impl Mlp {
         if train_x.iter().any(|x| x.len() != dim) {
             return Err(Error::InvalidParameter(
                 "feature width != network input".into(),
+            ));
+        }
+        if budgets.iter().any(|&b| b > cfg.epochs) {
+            return Err(Error::InvalidParameter(
+                "checkpoint budget beyond the epoch count".into(),
             ));
         }
         let n = train_x.len();
@@ -208,8 +245,25 @@ impl Mlp {
             best_epoch: 0,
             best_val_f1: 0.0,
         };
+        let mut checkpoints: Vec<Option<Checkpoint>> = vec![None; budgets.len()];
 
-        for epoch in 0..cfg.epochs {
+        for epoch in 0..=cfg.epochs {
+            // `epoch` epochs are done: what a run of that budget ends with.
+            for (slot, _) in checkpoints
+                .iter_mut()
+                .zip(budgets)
+                .filter(|(_, &b)| b == epoch)
+            {
+                *slot = Some(Checkpoint {
+                    report: report.clone(),
+                    params: best
+                        .as_ref()
+                        .map_or_else(|| self.snapshot(), |(_, snap)| snap.clone()),
+                });
+            }
+            if epoch == cfg.epochs {
+                break;
+            }
             rng.shuffle(&mut order);
             for chunk in order.chunks(cfg.batch_size.max(1)) {
                 for &i in chunk {
@@ -243,7 +297,16 @@ impl Mlp {
         if let Some((_, snap)) = best {
             self.restore(&snap);
         }
-        Ok(report)
+        let checkpoints = checkpoints
+            .into_iter()
+            .map(|c| c.expect("every budget is at most the epoch count"))
+            .collect();
+        Ok((report, checkpoints))
+    }
+
+    /// Loads a checkpoint's parameters (taken from a network of this shape).
+    pub fn load(&mut self, checkpoint: &Checkpoint) {
+        self.restore(&checkpoint.params);
     }
 
     /// Copies all parameters out (used for validation-based selection).
@@ -361,6 +424,87 @@ mod tests {
             net.predict_batch(&xs)
         };
         assert_eq!(run(), run());
+    }
+
+    /// A report's fields as bits, so equal reports compare equal exactly.
+    fn report_bits(r: &TrainReport) -> (Vec<u64>, usize, u64) {
+        let f1s = r.val_f1_per_epoch.iter().map(|f| f.to_bits()).collect();
+        (f1s, r.best_epoch, r.best_val_f1.to_bits())
+    }
+
+    fn param_bits(params: &[Vec<f32>]) -> Vec<Vec<u32>> {
+        params.iter().map(|p| crate::reference::bits(p)).collect()
+    }
+
+    #[test]
+    fn checkpoints_equal_separate_shorter_runs_bitwise() {
+        let (xs, ys) = xor_data(200, 19);
+        let (vx, vy) = xor_data(60, 20);
+        // One run of `epochs` epochs: final parameters, report, and the
+        // checkpoints at `budgets`.
+        let run = |epochs: usize, val: bool, budgets: &[usize]| {
+            let mut net = Mlp::new(2, &[12], 21);
+            let cfg = TrainConfig {
+                epochs,
+                ..Default::default()
+            };
+            let (vx, vy) = if val {
+                (&vx[..], &vy[..])
+            } else {
+                (&[][..], &[][..])
+            };
+            let (report, checkpoints) = net
+                .train_with_checkpoints(&xs, &ys, vx, vy, &cfg, 22, budgets)
+                .unwrap();
+            (net.snapshot(), report, checkpoints)
+        };
+        // (short, long, validation set): the best epoch of the long run
+        // falls after the short budget; no validation set, so each budget
+        // ends with its last weights; a budget of 0; equal budgets.
+        for (short, long, val) in [(4, 25, true), (4, 25, false), (0, 10, true), (10, 10, true)] {
+            let (long_params, long_report, checkpoints) = run(long, val, &[short, long]);
+            if (short, val) == (4, true) {
+                assert!(
+                    long_report.best_epoch >= short,
+                    "best epoch {}",
+                    long_report.best_epoch
+                );
+            }
+            let (short_params, short_report, _) = run(short, val, &[]);
+            let case = format!("short {short}, long {long}, validation {val}");
+            assert_eq!(
+                param_bits(&checkpoints[0].params),
+                param_bits(&short_params),
+                "{case}"
+            );
+            assert_eq!(
+                report_bits(&checkpoints[0].report),
+                report_bits(&short_report),
+                "{case}"
+            );
+            assert_eq!(
+                param_bits(&checkpoints[1].params),
+                param_bits(&long_params),
+                "{case}"
+            );
+            assert_eq!(
+                report_bits(&checkpoints[1].report),
+                report_bits(&long_report),
+                "{case}"
+            );
+            // Loading a checkpoint gives the short run's network.
+            let mut net = Mlp::new(2, &[12], 21);
+            net.load(&checkpoints[0]);
+            assert_eq!(param_bits(&net.snapshot()), param_bits(&short_params));
+        }
+        let mut net = Mlp::new(2, &[12], 21);
+        let cfg = TrainConfig {
+            epochs: 3,
+            ..Default::default()
+        };
+        assert!(net
+            .train_with_checkpoints(&xs, &ys, &vx, &vy, &cfg, 22, &[4])
+            .is_err());
     }
 
     #[test]

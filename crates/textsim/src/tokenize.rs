@@ -36,35 +36,43 @@ pub fn qgrams(text: &str, q: usize) -> Vec<String> {
     if q == 0 {
         return Vec::new();
     }
-    // Single pass: build the padded, normalized char window directly —
-    // lower-cased alphanumeric runs joined by single spaces, bracketed by
-    // `q - 1` sentinels — without materializing intermediate `String`s.
     let mut padded: Vec<char> = Vec::with_capacity(text.len() + 2 * (q - 1));
-    padded.resize(q - 1, '#');
+    if !push_padded(text, q - 1, &mut padded) {
+        return Vec::new();
+    }
+    padded.windows(q).map(|w| w.iter().collect()).collect()
+}
+
+/// Appends the text whose windows are [`qgrams`]: the lower-cased
+/// alphanumeric runs of `text` joined by single spaces, bracketed by `pad`
+/// `#` sentinels on each side. Built in one pass, without intermediate
+/// `String`s. When `text` has no alphanumeric character, `out` is left as
+/// it was and `false` is returned.
+pub fn push_padded(text: &str, pad: usize, out: &mut Vec<char>) -> bool {
+    let start = out.len();
+    out.resize(start + pad, '#');
     let mut in_token = false;
     let mut any = false;
     for ch in text.chars() {
         if ch.is_alphanumeric() {
             if !in_token && any {
-                padded.push(' ');
+                out.push(' ');
             }
             in_token = true;
             any = true;
             for lc in ch.to_lowercase() {
-                padded.push(lc);
+                out.push(lc);
             }
         } else {
             in_token = false;
         }
     }
     if !any {
-        return Vec::new();
+        out.truncate(start);
+        return false;
     }
-    padded.resize(padded.len() + q - 1, '#');
-    if padded.len() < q {
-        return vec![padded.into_iter().collect()];
-    }
-    padded.windows(q).map(|w| w.iter().collect()).collect()
+    out.resize(out.len() + pad, '#');
+    true
 }
 
 #[cfg(test)]
